@@ -727,8 +727,12 @@ def main(argv=None) -> int:
             return 2
         _apply_defaults(parser, defaults)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:   # argparse has printed the usage or the help
+        return 2 if exc.code else 0
+    try:
+        _check_inputs(args)
         report = args.handler(args)
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -741,6 +745,22 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: I/O failure: {err}", file=sys.stderr)
         return 3
+
+
+def _check_inputs(args):
+    """Reject counts below 0 and frequencies not above 0, naming the flag."""
+    for dest in ("nmax", "eq_nmax"):
+        value = getattr(args, dest, None)
+        if value is not None and value < 0:
+            raise ValueError(f"--{dest.replace('_', '-')} must be >= 0, "
+                             f"got {value}")
+    for dest in ("omega", "omegas"):
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        for tok in str(value).split(","):
+            if not _num(tok, getattr(args, "mode", "float")) > 0:
+                raise ValueError(f"--{dest} must be > 0, got {tok}")
 
 
 def _apply_defaults(parser: argparse.ArgumentParser, defaults: dict):

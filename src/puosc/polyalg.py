@@ -74,6 +74,16 @@ def scalar_tools(exact: bool):
             1j)
 
 
+def _drop_cancelled(clean: dict, summed: list):
+    """Remove the keys whose summed coefficients cancelled to zero.
+
+    Every other coefficient was tested once on the way in.
+    """
+    for key in summed:
+        if key in clean and coeff_is_zero(clean[key]):
+            del clean[key]
+
+
 def _mono_add(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -101,6 +111,7 @@ class MultiPoly:
         self.vars = tuple(vars)
         self.exact = bool(exact)
         clean = {}
+        summed = []
         if terms:
             nv = len(self.vars)
             for mono, c in terms.items():
@@ -109,8 +120,13 @@ class MultiPoly:
                     raise VariableMismatchError(
                         f"exponent {mono} does not match registry {self.vars}")
                 if not coeff_is_zero(c):
-                    clean[mono] = clean[mono] + c if mono in clean else c
-        self.terms = {m: c for m, c in clean.items() if not coeff_is_zero(c)}
+                    if mono in clean:
+                        clean[mono] = clean[mono] + c
+                        summed.append(mono)
+                    else:
+                        clean[mono] = c
+        _drop_cancelled(clean, summed)
+        self.terms = clean
 
     # -- constructors ---------------------------------------------------
 
@@ -493,6 +509,7 @@ class DiffOp:
         self.vars = tuple(vars)
         self.exact = bool(exact)
         clean = {}
+        summed = []
         nv = len(self.vars)
         if terms:
             for (mult, deriv), c in terms.items():
@@ -501,8 +518,13 @@ class DiffOp:
                     raise VariableMismatchError("term indices do not match registry")
                 if not coeff_is_zero(c):
                     key = (mult, deriv)
-                    clean[key] = clean[key] + c if key in clean else c
-        self.terms = {k: c for k, c in clean.items() if not coeff_is_zero(c)}
+                    if key in clean:
+                        clean[key] = clean[key] + c
+                        summed.append(key)
+                    else:
+                        clean[key] = c
+        _drop_cancelled(clean, summed)
+        self.terms = clean
 
     # -- constructors -----------------------------------------------------
 

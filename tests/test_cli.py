@@ -89,17 +89,40 @@ def test_scan_grid_artifact(tmp_path, capsys):
 
 
 def test_exit_code_on_usage_errors(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "nonsense"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["totally-unknown"])
-    assert exc.value.code == 2
+    # argparse errors are returned as 2, not raised as SystemExit
+    assert main(["verify", "nonsense"]) == 2
+    assert main(["totally-unknown"]) == 2
     # semantic parameter error: missing frequencies
     code = main(["classical", "run", "--system", "pu", "--ic", "1,0,0,0",
                  "--t-end", "5"])
     assert code == 2
 
+
+
+def test_usage_error_returns_2_without_raising(capsys):
+    assert main(["verify", "nope"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "eigen", "--nmax", "-1"), "--nmax must be >= 0, got -1"),
+    (("verify", "positive", "--nmax", "1", "--eq-nmax", "-2"),
+     "--eq-nmax must be >= 0, got -2"),
+    (("verify", "identities", "--nmax", "-3"), "--nmax must be >= 0, got -3"),
+    (("verify", "commutator", "--omegas", "0"), "--omegas must be > 0, got 0"),
+    (("verify", "commutator", "--omegas", "1,-1/2"),
+     "--omegas must be > 0, got -1/2"),
+    (("verify", "descendants", "--omega", "0"), "--omega must be > 0, got 0"),
+    (("continuum", "residual", "--omega", "-1"),
+     "--omega must be > 0, got -1.0"),
+])
+def test_invalid_inputs_name_the_flag(capsys, argv, message):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 def test_exit_code_on_io_error(tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "r.json"

@@ -55,8 +55,8 @@ def test_division():
     assert mixed / mixed == 1
     with pytest.raises(ZeroDivisionError):
         Exact().inverse()
-    with pytest.raises(ArithmeticError):
-        (Exact.rational(1) + Exact.sqrt(2) + Exact.sqrt(3)).inverse()
+    three = Exact.rational(1) + Exact.sqrt(2) + Exact.sqrt(3)
+    assert three * three.inverse() == 1
 
 
 def test_powers():
@@ -105,3 +105,79 @@ def test_float_embedding_is_consistent(a):
     x = complex(a)
     y = complex(a + a) / 2
     assert x == pytest.approx(y, abs=1e-12)
+
+
+def test_general_inverse():
+    i = Exact.imag_unit()
+    cases = [
+        Exact.sqrt(2) + Exact.sqrt(3) + Exact.sqrt(5),
+        Exact.sqrt(6) + Exact.sqrt(10) + Exact.sqrt(15) * i,
+        1 + Exact.sqrt(2) + Exact.sqrt(3) + Exact.sqrt(6) * Fraction(-5, 3),
+        (Exact.sqrt(7) - i) * Fraction(2, 9) + Exact.sqrt(30),
+    ]
+    for x in cases:
+        assert x * x.inverse() == 1
+        assert 1 / x == x.inverse()
+        assert x ** -2 * x * x == 1
+    # the result lists its terms by increasing radicand
+    inv = cases[0].inverse()
+    assert list(inv._terms) == sorted(inv._terms)
+
+
+def _canonical(x):
+    nums = [n for re_im in x._terms.values() for n in re_im]
+    if not nums:
+        return x._den == 1
+    return (x._den > 0 and math.gcd(x._den, *nums) == 1
+            and all(re or im for re, im in x._terms.values()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(exacts(), exacts(), exacts())
+def test_canonical_form_is_order_independent(a, b, c):
+    pairs = [((a * b) * c, c * (b * a)),
+             ((a + b) + c, c + (b + a)),
+             (a * (b + c), c * a + a * b),
+             ((a - b) * (a + b), a * a - b * b)]
+    if b:
+        pairs.append(((a * b) / b, a))
+    for x, y in pairs:
+        assert _canonical(x) and _canonical(y)
+        assert x == y
+        assert x._den == y._den and x._terms == y._terms
+        assert hash(x) == hash(y)
+
+
+wide_radicands = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 15, 30, 42])
+
+
+@st.composite
+def wide_exacts(draw, min_terms=0):
+    """Up to four distinct radicands; ``min_terms`` of them nonzero."""
+    rads = draw(st.lists(wide_radicands, min_size=min_terms, max_size=4,
+                         unique=True))
+    nonzero = small_fractions.filter(bool)
+    return Exact({d: (draw(nonzero if k < min_terms else small_fractions),
+                      draw(small_fractions))
+                  for k, d in enumerate(rads)})
+
+
+def _to_sympy(sympy, x):
+    return sympy.Add(*[
+        (sympy.Rational(re, x._den) + sympy.I * sympy.Rational(im, x._den))
+        * sympy.sqrt(d) for d, (re, im) in x._terms.items()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_exacts(), wide_exacts(min_terms=3))
+def test_sympy_cross_check(a, b):
+    sympy = pytest.importorskip("sympy")
+    assert len(b._terms) >= 3
+    sa, sb = _to_sympy(sympy, a), _to_sympy(sympy, b)
+    assert sympy.expand(sa * sb - _to_sympy(sympy, a * b)) == 0
+    assert sympy.expand(sa + sb - _to_sympy(sympy, a + b)) == 0
+    assert sympy.expand(sa - sb - _to_sympy(sympy, a - b)) == 0
+    inv = _to_sympy(sympy, b.inverse())
+    assert sympy.expand(sb * inv) == 1
+    assert complex(sympy.N(1 / sb, 30)) == pytest.approx(
+        complex(b.inverse()), rel=1e-12)
