@@ -749,18 +749,19 @@ def main(argv=None) -> int:
 
 def _check_inputs(args):
     """Reject counts below 0 and frequencies not above 0, naming the flag."""
-    for dest in ("nmax", "eq_nmax"):
+    for dest in ("nmax", "eq_nmax", "expmax"):
         value = getattr(args, dest, None)
         if value is not None and value < 0:
             raise ValueError(f"--{dest.replace('_', '-')} must be >= 0, "
                              f"got {value}")
-    for dest in ("omega", "omegas"):
+    for dest in ("omega", "omegas", "omega_eq"):
         value = getattr(args, dest, None)
         if value is None:
             continue
         for tok in str(value).split(","):
             if not _num(tok, getattr(args, "mode", "float")) > 0:
-                raise ValueError(f"--{dest} must be > 0, got {tok}")
+                raise ValueError(f"--{dest.replace('_', '-')} must be > 0, "
+                                 f"got {tok}")
 
 
 def _apply_defaults(parser: argparse.ArgumentParser, defaults: dict):

@@ -71,6 +71,9 @@ class Exact:
     def __init__(self, terms: dict | None = None):
         self._terms, self._den = {}, 1
         if terms:
+            for d in terms:
+                if squarefree_split(d)[0] != 1:
+                    raise ValueError(f"radicand {d} is not squarefree")
             parts = [(d, Fraction(re), Fraction(im))
                      for d, (re, im) in terms.items()]
             den = 1

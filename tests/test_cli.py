@@ -111,6 +111,10 @@ def test_usage_error_returns_2_without_raising(capsys):
     (("verify", "positive", "--nmax", "1", "--eq-nmax", "-2"),
      "--eq-nmax must be >= 0, got -2"),
     (("verify", "identities", "--nmax", "-3"), "--nmax must be >= 0, got -3"),
+    (("verify", "identities", "--expmax", "-1"),
+     "--expmax must be >= 0, got -1"),
+    (("verify", "positive", "--omega-eq", "0"),
+     "--omega-eq must be > 0, got 0"),
     (("verify", "commutator", "--omegas", "0"), "--omegas must be > 0, got 0"),
     (("verify", "commutator", "--omegas", "1,-1/2"),
      "--omegas must be > 0, got -1/2"),

@@ -25,6 +25,9 @@ def test_sqrt_reduces_radicands():
     assert Exact.sqrt(Fraction(1, 2)) * 2 == r2
     assert Exact.sqrt(Fraction(9, 4)) == Fraction(3, 2)
     assert Exact.sqrt(0).is_zero
+    for bad in (4, 12, 0, -2):
+        with pytest.raises(ValueError):
+            Exact({bad: (1, 0)})
 
 
 def test_products_of_distinct_radicals():

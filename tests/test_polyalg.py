@@ -153,6 +153,16 @@ def test_float_pruning_threshold():
     assert not dropped.terms
 
 
+def test_keys_that_collapse_are_summed_and_pruned():
+    # range(1, 2) and (1,) are distinct dict keys with the same exponent
+    one = Exact.rational(1)
+    assert MultiPoly(Z, {(1,): one, range(1, 2): one}, True).terms == {
+        (1,): one * 2}
+    assert MultiPoly(Z, {(1,): one, range(1, 2): -one}, True).terms == {}
+    z = (0,)
+    assert DiffOp(Z, {((1,), z): 1.0, (range(1, 2), z): -1.0}).terms == {}
+
+
 # ---------------------------------------------------------------------------
 # exponent kernels and operator action
 # ---------------------------------------------------------------------------
