@@ -4,19 +4,18 @@ canonical structure, and classical dynamics."""
 __version__ = "0.1.0"
 
 from .exact import Exact
-from .polyalg import (DiffOp, ExpPolyFn, MultiPoly, QuadExponent,
-                      VariableMismatchError, coeff_max_norm, diffop_apply,
-                      diffop_commutator, exp_diff_apply, hermite)
-from .phasespace import (CanonicalMap, PhasePoly, SingularMapError,
+from .polyalg import (DiffOp, ExpPolyFn, Field, MultiPoly, QuadExponent,
+                      VariableMismatchError, exp_diff_apply, hermite)
+from .phasespace import (SYSTEMS, CanonicalMap, PhasePoly, SingularMapError,
                          build_hamiltonian, build_map, poisson_bracket,
                          transform_equals, transform_interaction,
                          verify_symplectic)
 from .spectra import (EigenResult, EqualFrequencyError, SpectrumParams,
                       build_operator, commutator_check, continuum_eigenfunction,
-                      degenerate_family, density_scan, descendant,
-                      eigen_suite, eigenfunction, energy, exp_hermite_identity,
-                      free_descendant, gram_minimum_singular_values,
-                      hermite_sum_identity, jordan_norm_sq)
+                      degenerate_level, density_scan, descendant, eigen_suite,
+                      energy, exp_hermite_identity, free_descendant,
+                      gram_minimum_singular_values, hermite_sum_identity,
+                      jordan_norm_sq)
 from .dynamics import (CollapseVerdict, SystemSpec, Trajectory,
                        detect_collapse, envelope_growth,
                        estimate_escape_time, fourth_order_residual,
@@ -27,14 +26,13 @@ from .variational import (AnsatzParams, UnboundednessCertificate,
                           unbounded_search)
 
 __all__ = [
-    "Exact", "MultiPoly", "QuadExponent", "ExpPolyFn", "DiffOp",
-    "VariableMismatchError", "hermite", "exp_diff_apply", "coeff_max_norm",
-    "diffop_apply", "diffop_commutator",
-    "PhasePoly", "CanonicalMap", "SingularMapError", "poisson_bracket",
+    "Exact", "Field", "MultiPoly", "QuadExponent", "ExpPolyFn", "DiffOp",
+    "VariableMismatchError", "hermite", "exp_diff_apply",
+    "SYSTEMS", "PhasePoly", "CanonicalMap", "SingularMapError", "poisson_bracket",
     "build_map", "build_hamiltonian", "transform_equals",
     "transform_interaction", "verify_symplectic",
     "SpectrumParams", "EigenResult", "EqualFrequencyError", "energy",
-    "build_operator", "eigenfunction", "eigen_suite", "degenerate_family",
+    "build_operator", "eigen_suite", "degenerate_level",
     "descendant", "free_descendant", "continuum_eigenfunction",
     "commutator_check", "hermite_sum_identity", "exp_hermite_identity",
     "gram_minimum_singular_values", "density_scan", "jordan_norm_sq",

@@ -27,8 +27,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, dynamics, spectra, variational
-from .phasespace import (MAP_NAMES, build_hamiltonian, build_map,
+from .phasespace import (MAP_NAMES, SYSTEMS, build_hamiltonian, build_map,
                          transform_equals, verify_symplectic)
+from .polyalg import Field, MultiPoly, hermite
 from .spectra import SpectrumParams
 
 
@@ -159,10 +160,9 @@ def _cmd_verify_positive(args) -> Report:
             worst, tol, worst <= tol)
 
     # equal-frequency limit in the (x, y) operator form
-    from .polyalg import MultiPoly, hermite, scalar_tools
     om = _num(args.omega_eq, args.mode)
-    num, sqrt_, _ = scalar_tools(exact)
-    z = MultiPoly.linear({"x": sqrt_(om), "y": sqrt_(om) * num(om)},
+    f = Field(exact)
+    z = MultiPoly.linear({"x": f.sqrt(om), "y": f.sqrt(om) * f.num(om)},
                          spectra.XY, exact)
     o_xy = spectra.build_operator("O_xy", omega1=om, omega2=om, exact=exact)
     worst_eq = 0.0
@@ -383,24 +383,10 @@ def _cmd_gram_limit(args) -> Report:
 # ---------------------------------------------------------------------------
 
 def _system_from_args(args) -> dynamics.SystemSpec:
-    params = {}
-    if args.system in ("pu", "pu_quartic", "diag_ghost_plus_V1",
-                       "diag_ghost_plus_V2"):
-        if args.omega1 is None or args.omega2 is None:
-            raise ValueError(f"{args.system} needs --omega1 and --omega2")
-        params["omega1"] = args.omega1
-        params["omega2"] = args.omega2
-    else:
-        if args.omega is None:
-            raise ValueError(f"{args.system} needs --omega")
-        params["omega"] = args.omega
-    if args.system == "pu_quartic":
-        params.update(alpha=args.alpha, beta=args.beta, gamma=args.gamma)
-    if args.system in ("diag_ghost_plus_V1", "diag_ghost_plus_V2", "robert",
-                       "robert_gamma"):
-        params["lam"] = args.lam
-    if args.system == "robert_gamma":
-        params["gamma"] = args.gamma
+    params = {p: getattr(args, p) for p in SYSTEMS[args.system].params}
+    missing = [f"--{p}" for p, v in params.items() if v is None]
+    if missing:
+        raise ValueError(f"{args.system} needs {' and '.join(missing)}")
     return dynamics.make_system(args.system, **params)
 
 
@@ -450,9 +436,10 @@ def _cmd_classical_scan(args) -> Report:
     rep.add("collapsed-cells", "finite-time-escape",
             int((~res.bounded).sum()), None, True)
     if args.out_grid:
+        first, second = spec.state_vars[:2]    # the two scanned components
         payload = json.dumps({
-            "q_values": [float(v) for v in res.q_values],
-            "x_values": [float(v) for v in res.x_values],
+            f"{first}_values": [float(v) for v in res.q_values],
+            f"{second}_values": [float(v) for v in res.x_values],
             "bounded": res.bounded.astype(int).tolist(),
             "island": res.island.astype(int).tolist(),
         }, sort_keys=True, indent=2) + "\n"
@@ -747,14 +734,18 @@ def main(argv=None) -> int:
         return 3
 
 
+_COUNT_MINIMA = {"nmax": 0, "eq_nmax": 0, "expmax": 0, "cells": 1, "sets": 1}
+
+
 def _check_inputs(args):
-    """Reject counts below 0 and frequencies not above 0, naming the flag."""
-    for dest in ("nmax", "eq_nmax", "expmax"):
+    """Reject counts below their minimum and frequencies and windows not
+    above 0, naming the flag."""
+    for dest, least in _COUNT_MINIMA.items():
         value = getattr(args, dest, None)
-        if value is not None and value < 0:
-            raise ValueError(f"--{dest.replace('_', '-')} must be >= 0, "
+        if value is not None and value < least:
+            raise ValueError(f"--{dest.replace('_', '-')} must be >= {least}, "
                              f"got {value}")
-    for dest in ("omega", "omegas", "omega_eq"):
+    for dest in ("omega", "omegas", "omega_eq", "window"):
         value = getattr(args, dest, None)
         if value is None:
             continue

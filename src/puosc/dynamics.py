@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phasespace import PhasePoly, build_hamiltonian, poisson_bracket
+from .phasespace import SYSTEMS, PhasePoly, build_hamiltonian, poisson_bracket
 from .polyalg import MultiPoly, to_complex
 
 # Dormand-Prince 5(4) tableau.
@@ -41,8 +41,7 @@ _D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
 AMPLITUDE_LIMIT = 1e8
 UNDERFLOW_FACTOR = 1e-14
 
-CLASSICAL_SYSTEMS = ("pu", "pu_quartic", "diag_ghost_plus_V1",
-                     "diag_ghost_plus_V2", "robert", "robert_gamma")
+CLASSICAL_SYSTEMS = tuple(n for n, s in SYSTEMS.items() if s.classical)
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,19 @@ direction is a derived map: for a linear canonical transformation the
 inverse matrix is ``-J_new M^T J_old``, which needs no division and is
 therefore exact in rational mode; the product with the original matrix is
 verified to be the identity before the inverse is returned.
+
+Each model Hamiltonian is listed once, in :data:`SYSTEMS`, with its
+parameters, state variables and canonical pairing; ``dynamics`` and the
+command line read the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
-from .polyalg import (MultiPoly, VariableMismatchError, as_coeff, coeff_abs,
-                      coeff_is_zero, scalar_tools, to_complex)
+from .polyalg import (Field, MultiPoly, VariableMismatchError, as_coeff,
+                      coeff_is_zero, to_complex)
 
 
 class SingularMapError(ValueError):
@@ -155,7 +159,7 @@ class CanonicalMap:
         for i in range(n):
             for k in range(n):
                 want = as_coeff(1 if i == k else 0, exact)
-                dev = coeff_abs(ident[i][k] - want)
+                dev = abs(ident[i][k] - want)
                 if (exact and dev != 0.0) or (not exact and dev > 1e-9):
                     raise ValueError(
                         f"map {self.kind!r} is not symplectic; cannot invert "
@@ -245,7 +249,14 @@ ROT_PAIRS = (("x", "p_x"), ("y", "p_y"))
 ROBERT_VARS = ("x", "p", "D", "P")
 ROBERT_PAIRS = (("x", "p"), ("D", "P"))
 
-MAP_NAMES = ("diag", "diag_inverse", "rotation", "complexified")
+# map name -> (old pairs, old vars, new pairs, new vars)
+_MAP_LAYOUT = {
+    "diag": (PU_PAIRS, PU_VARS, DIAG_PAIRS, DIAG_VARS),
+    "diag_inverse": (DIAG_PAIRS, DIAG_VARS, PU_PAIRS, PU_VARS),
+    "rotation": (PU_PAIRS, PU_VARS, PU_PAIRS, PU_VARS),
+    "complexified": (DIAG_PAIRS, DIAG_VARS, ROT_PAIRS, ROT_VARS),
+}
+MAP_NAMES = tuple(_MAP_LAYOUT)
 
 
 def build_map(name: str, omega1, omega2=None, exact: bool = False) -> CanonicalMap:
@@ -255,28 +266,28 @@ def build_map(name: str, omega1, omega2=None, exact: bool = False) -> CanonicalM
     omega1 > omega2 > 0 and are singular at equal frequencies; ``rotation``
     takes a single positive frequency (passed as ``omega1``).
     """
-    num, sqrt, i_ = scalar_tools(exact)
+    if name not in MAP_NAMES:
+        raise ValueError(f"unknown map {name!r}; expected one of {MAP_NAMES}")
+    old_pairs, old_vars, new_pairs, new_vars = _MAP_LAYOUT[name]
+    f = Field(exact)
+    num, sqrt, i_ = f.num, f.sqrt, f.i
+    lin = lambda coeffs: MultiPoly.linear(coeffs, new_vars, exact)
     if name == "rotation":
         if omega2 is not None:
             raise ValueError("rotation map takes a single frequency")
-        om = omega1
-        if not om > 0:
+        if not omega1 > 0:
             raise ValueError("frequency must be positive")
-        om = Fraction(om) if exact else float(om)
-        lin = lambda coeffs: MultiPoly.linear(coeffs, PU_VARS, exact)
-        inv4 = Fraction(1, 4) if exact else 0.25
+        om = f.param(omega1)
+        inv4 = f.frac(1, 4)
         subs = {
             "x": lin({"x": 1, "p_q": num(inv4 / om)}),
-            "q": lin({"q": num(1 / om if exact else 1.0 / om),
-                      "p_x": num(inv4 / om ** 2)}),
+            "q": lin({"q": num(1 / om), "p_x": num(inv4 / om ** 2)}),
             "p_x": lin({"p_x": 1}),
             "p_q": lin({"p_q": num(om)}),
         }
-        return CanonicalMap("rotation", subs, PU_PAIRS, PU_PAIRS,
-                            params={"omega": om}, old_vars=PU_VARS)
+        return CanonicalMap(name, subs, old_pairs, new_pairs,
+                            params={"omega": om}, old_vars=old_vars)
 
-    if name not in MAP_NAMES:
-        raise ValueError(f"unknown map {name!r}; expected one of {MAP_NAMES}")
     if omega2 is None:
         raise ValueError(f"map {name!r} needs two frequencies")
     if not (omega1 > 0 and omega2 > 0):
@@ -286,15 +297,12 @@ def build_map(name: str, omega1, omega2=None, exact: bool = False) -> CanonicalM
             f"map {name!r} is singular at equal frequencies")
     if omega1 < omega2:
         raise ValueError("expected omega1 > omega2")
-    om1 = Fraction(omega1) if exact else float(omega1)
-    om2 = Fraction(omega2) if exact else float(omega2)
+    om1, om2 = f.param(omega1), f.param(omega2)
     d = om1 ** 2 - om2 ** 2
     inv_s = sqrt(1 / d)                      # 1/sqrt(om1^2 - om2^2)
     inv_om1_s = sqrt(1 / (om1 ** 2 * d))     # 1/(om1 sqrt(...))
     om1_over_s = sqrt(om1 ** 2 / d)          # om1/sqrt(...)
-
     if name == "diag":
-        lin = lambda coeffs: MultiPoly.linear(coeffs, DIAG_VARS, exact)
         subs = {
             "q": lin({"X2": inv_s, "P1": -inv_om1_s}),
             "x": lin({"X1": num(om1) * inv_s, "P2": -inv_s}),
@@ -302,141 +310,114 @@ def build_map(name: str, omega1, omega2=None, exact: bool = False) -> CanonicalM
             "p_q": lin({"P2": num(om1 ** 2) * inv_s,
                         "X1": -num(om1) * num(om2 ** 2) * inv_s}),
         }
-        return CanonicalMap("diag", subs, PU_PAIRS, DIAG_PAIRS,
-                            params={"omega1": om1, "omega2": om2},
-                            old_vars=PU_VARS)
-
-    if name == "diag_inverse":
-        lin = lambda coeffs: MultiPoly.linear(coeffs, PU_VARS, exact)
+    elif name == "diag_inverse":
         subs = {
             "X1": lin({"p_q": inv_om1_s, "x": num(om1 ** 2) * inv_om1_s}),
             "X2": lin({"p_x": inv_s, "q": num(om1 ** 2) * inv_s}),
             "P1": lin({"p_x": om1_over_s, "q": num(om2 ** 2) * om1_over_s}),
             "P2": lin({"p_q": inv_s, "x": num(om2 ** 2) * inv_s}),
         }
-        return CanonicalMap("diag_inverse", subs, DIAG_PAIRS, PU_PAIRS,
-                            params={"omega1": om1, "omega2": om2},
-                            old_vars=DIAG_VARS)
-
-    # complexified: the positive-spectrum realization, genuinely complex
-    lin = lambda coeffs: MultiPoly.linear(coeffs, ROT_VARS, exact)
-    subs = {
-        "X1": lin({"x": num(om1 ** 2) * inv_om1_s, "p_y": -i_ * inv_om1_s}),
-        "X2": lin({"y": num(om1 ** 2) * inv_s, "p_x": -i_ * inv_s}),
-        "P1": lin({"p_x": om1_over_s, "y": i_ * num(om2 ** 2) * om1_over_s}),
-        "P2": lin({"p_y": inv_s, "x": i_ * num(om2 ** 2) * inv_s}),
-    }
-    return CanonicalMap("complexified", subs, DIAG_PAIRS, ROT_PAIRS,
+    else:       # complexified: the positive-spectrum realization
+        subs = {
+            "X1": lin({"x": num(om1 ** 2) * inv_om1_s, "p_y": -i_ * inv_om1_s}),
+            "X2": lin({"y": num(om1 ** 2) * inv_s, "p_x": -i_ * inv_s}),
+            "P1": lin({"p_x": om1_over_s, "y": i_ * num(om2 ** 2) * om1_over_s}),
+            "P2": lin({"p_y": inv_s, "x": i_ * num(om2 ** 2) * inv_s}),
+        }
+    return CanonicalMap(name, subs, old_pairs, new_pairs,
                         params={"omega1": om1, "omega2": om2},
-                        old_vars=DIAG_VARS)
+                        old_vars=old_vars)
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonians
 # ---------------------------------------------------------------------------
 
-HAMILTONIAN_NAMES = (
-    "pu", "pu_diag_ghost", "htild", "hprime", "rot", "diag_positive",
-    "diag_ghost_plus_V1", "diag_ghost_plus_V2", "pu_quartic",
-    "robert", "robert_gamma",
-)
+class System(NamedTuple):
+    """Registry entry of a model Hamiltonian."""
+
+    params: tuple           # parameters a caller gives, frequencies first
+    vars: tuple             # state variables, in registry order
+    pairs: tuple            # canonical (coordinate, momentum) pairs
+    classical: bool = False  # integrated by dynamics.make_system
 
 
-def _half(exact):
-    return Fraction(1, 2) if exact else 0.5
+_PU = (PU_VARS, PU_PAIRS)
+_DIAG = (DIAG_VARS, DIAG_PAIRS)
+_ROBERT = (ROBERT_VARS, ROBERT_PAIRS)
+
+SYSTEMS = {
+    "pu": System(("omega1", "omega2"), *_PU, True),
+    "pu_quartic": System(("omega1", "omega2", "alpha", "beta", "gamma"),
+                         *_PU, True),
+    "htild": System(("omega",), *_PU),
+    "hprime": System(("omega",), *_PU),
+    "pu_diag_ghost": System(("omega1", "omega2"), *_DIAG),
+    "diag_positive": System(("omega1", "omega2"), *_DIAG),
+    "diag_ghost_plus_V1": System(("omega1", "omega2", "lam"), *_DIAG, True),
+    "diag_ghost_plus_V2": System(("omega1", "omega2", "lam"), *_DIAG, True),
+    "rot": System(("omega1", "omega2"), ROT_VARS, ROT_PAIRS),
+    "robert": System(("omega", "lam"), *_ROBERT, True),
+    "robert_gamma": System(("omega", "lam", "gamma"), *_ROBERT, True),
+}
+HAMILTONIAN_NAMES = tuple(SYSTEMS)
 
 
 def build_hamiltonian(name: str, *, omega1=None, omega2=None, omega=None,
                       alpha=0, beta=0, gamma=0, lam=0,
                       exact: bool = False) -> PhasePoly:
-    """Construct one of the model Hamiltonians by name.
+    """Construct one of the model Hamiltonians of :data:`SYSTEMS` by name.
 
-    Frequencies must be positive; the ghost-plus-V1 system requires a
-    positive coupling, matching the regime in which its bounded behaviour
-    is claimed.
+    The frequencies an entry lists must be given and positive; the
+    ghost-plus-V1 system requires a positive coupling, matching the regime
+    in which its bounded behaviour is claimed.
     """
-    num, sqrt, i_ = scalar_tools(exact)
-    half = _half(exact)
-
-    def v(n, vars):
-        return MultiPoly.var(n, vars, exact)
+    system = SYSTEMS.get(name)
+    if system is None:
+        raise ValueError(
+            f"unknown Hamiltonian {name!r}; expected one of {HAMILTONIAN_NAMES}")
+    f = Field(exact)
+    om1, om2, om = f.frequencies(repr(name), system.params, omega1=omega1,
+                                 omega2=omega2, omega=omega)
+    num, i_, half = f.num, f.i, f.frac(1, 2)
+    v = [MultiPoly.var(n, system.vars, exact) for n in system.vars]
 
     if name in ("pu", "pu_quartic"):
-        if omega1 is None or omega2 is None:
-            raise ValueError(f"{name!r} needs omega1 and omega2")
-        if not (omega1 > 0 and omega2 > 0):
-            raise ValueError("frequencies must be positive")
-        om1 = Fraction(omega1) if exact else float(omega1)
-        om2 = Fraction(omega2) if exact else float(omega2)
-        q, x, px, pq = (v(n, PU_VARS) for n in PU_VARS)
+        q, x, px, pq = v
         h = pq * x + px * px * num(half) \
             + x * x * num((om1 ** 2 + om2 ** 2) * half) \
             - q * q * num(om1 ** 2 * om2 ** 2 * half)
         if name == "pu_quartic":
             h = h + q ** 4 * num(alpha) + q * q * x * x * num(beta) \
                 + x ** 4 * num(gamma)
-        return PhasePoly(h, PU_PAIRS)
-
-    if name == "htild":
-        if omega is None:
-            raise ValueError("htild needs omega")
-        om = Fraction(omega) if exact else float(omega)
-        q, x, px, pq = (v(n, PU_VARS) for n in PU_VARS)
+    elif name == "htild":
+        q, x, px, pq = v
         h = px * px * num(half) + x * pq - q * px * num(om ** 2)
-        return PhasePoly(h, PU_PAIRS)
-
-    if name == "hprime":
-        if omega is None:
-            raise ValueError("hprime needs omega")
-        om = Fraction(omega) if exact else float(omega)
-        quarter = Fraction(1, 4) if exact else 0.25
-        q, x, px, pq = (v(n, PU_VARS) for n in PU_VARS)
-        h = (px * px + pq * pq) * num(quarter) + (x * pq - q * px) * num(om)
-        return PhasePoly(h, PU_PAIRS)
-
-    if name == "rot":
-        if omega1 is None or omega2 is None:
-            raise ValueError("rot needs omega1 and omega2")
-        om1 = Fraction(omega1) if exact else float(omega1)
-        om2 = Fraction(omega2) if exact else float(omega2)
-        x, y, px, py = (v(n, ROT_VARS) for n in ROT_VARS)
+    elif name == "hprime":
+        q, x, px, pq = v
+        h = (px * px + pq * pq) * num(f.frac(1, 4)) + (x * pq - q * px) * num(om)
+    elif name == "rot":
+        x, y, px, py = v
         h = px * px * num(half) - i_ * (x * py) \
             + x * x * num((om1 ** 2 + om2 ** 2) * half) \
             + y * y * num(om1 ** 2 * om2 ** 2 * half)
-        return PhasePoly(h, ROT_PAIRS)
-
-    if name in ("pu_diag_ghost", "diag_positive",
-                "diag_ghost_plus_V1", "diag_ghost_plus_V2"):
-        if omega1 is None or omega2 is None:
-            raise ValueError(f"{name!r} needs omega1 and omega2")
-        om1 = Fraction(omega1) if exact else float(omega1)
-        om2 = Fraction(omega2) if exact else float(omega2)
-        x1, p1, x2, p2 = (v(n, DIAG_VARS) for n in DIAG_VARS)
+    elif name in ("robert", "robert_gamma"):
+        x, p, d, pp = v
+        h = p * pp + d * (x * num(om ** 2) + x ** 3 * num(lam))
+        if name == "robert_gamma":
+            h = h - (d * d + pp * pp) * num(gamma) * num(half)
+    else:                       # the diagonal two-oscillator family
+        x1, p1, x2, p2 = v
         plus = (p1 * p1 + x1 * x1 * num(om1 ** 2)) * num(half)
         minus = (p2 * p2 + x2 * x2 * num(om2 ** 2)) * num(half)
-        if name == "diag_positive":
-            return PhasePoly(plus + minus, DIAG_PAIRS)
-        h = plus - minus
+        h = plus + minus if name == "diag_positive" else plus - minus
         if name == "diag_ghost_plus_V1":
             if not lam > 0:
                 raise ValueError("diag_ghost_plus_V1 requires lam > 0")
             h = h + (x1 - x2) * (x1 + x2) ** 3 * num(lam)
         elif name == "diag_ghost_plus_V2":
             h = h + (x1 - x2) ** 3 * (x1 + x2) * num(lam)
-        return PhasePoly(h, DIAG_PAIRS)
-
-    if name in ("robert", "robert_gamma"):
-        if omega is None:
-            raise ValueError(f"{name!r} needs omega")
-        om = Fraction(omega) if exact else float(omega)
-        x, p, d, pp = (v(n, ROBERT_VARS) for n in ROBERT_VARS)
-        h = p * pp + d * (x * num(om ** 2) + x ** 3 * num(lam))
-        if name == "robert_gamma":
-            h = h - (d * d + pp * pp) * num(gamma) * num(half)
-        return PhasePoly(h, ROBERT_PAIRS)
-
-    raise ValueError(
-        f"unknown Hamiltonian {name!r}; expected one of {HAMILTONIAN_NAMES}")
+    return PhasePoly(h, system.pairs)
 
 
 # ---------------------------------------------------------------------------

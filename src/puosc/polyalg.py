@@ -17,6 +17,9 @@ The registry of a value is fixed at construction.  Mixing registries (or
 mixing float and rational coefficients) raises
 :class:`VariableMismatchError` / :class:`TypeError` instead of guessing an
 embedding; widening is the explicit :meth:`MultiPoly.embed`.
+
+:class:`Field` is the one place that picks the scalars of a mode; every
+builder of operators, maps and Hamiltonians takes its numbers from it.
 """
 
 from __future__ import annotations
@@ -46,8 +49,6 @@ def as_coeff(value, exact: bool):
         return Exact.coerce(value)
     if isinstance(value, Exact):
         return value.to_complex()
-    if isinstance(value, Fraction):
-        return complex(value)
     return complex(value)
 
 
@@ -57,21 +58,45 @@ def coeff_is_zero(c) -> bool:
     return abs(c) < PRUNE_EPS
 
 
-def coeff_abs(c) -> float:
-    return abs(c)
-
-
 def to_complex(c) -> complex:
     return c.to_complex() if isinstance(c, Exact) else complex(c)
 
 
-def scalar_tools(exact: bool):
-    """Return (num, sqrt, i) constructors for the requested mode."""
-    if exact:
-        return Exact.coerce, Exact.sqrt, Exact.imag_unit()
-    return (lambda v: complex(float(Fraction(v)) if isinstance(v, Fraction) else v),
-            lambda v: complex(math.sqrt(float(v))),
-            1j)
+class Field:
+    """The scalars of one arithmetic mode.
+
+    ``param`` parses a frequency or coupling (``Fraction`` or ``float``),
+    ``num`` and ``sqrt`` make coefficients (``Exact`` or ``complex``), ``i``
+    is the imaginary unit and ``frac(a, b)`` the ratio a/b as a parameter.
+    """
+
+    __slots__ = ("exact", "param", "num", "sqrt", "i")
+
+    def __init__(self, exact: bool):
+        self.exact = bool(exact)
+        if self.exact:
+            self.param, self.num, self.sqrt = Fraction, Exact.coerce, Exact.sqrt
+            self.i = Exact.imag_unit()
+        else:
+            self.param = float
+            self.num = lambda v: complex(
+                float(Fraction(v)) if isinstance(v, Fraction) else v)
+            self.sqrt = lambda v: complex(math.sqrt(float(v)))
+            self.i = 1j
+
+    def frac(self, a: int, b: int):
+        return Fraction(a, b) if self.exact else a / b
+
+    def frequencies(self, owner: str, need, **given) -> list:
+        """One entry per keyword of ``given``: the parsed value for the names
+        in ``need``, each of which must be given and positive, else None."""
+        need = [p for p in need if p in given]
+        missing = [p for p in need if given[p] is None]
+        if missing:
+            raise ValueError(f"{owner} needs {' and '.join(missing)}")
+        if not all(given[p] > 0 for p in need):
+            raise ValueError("frequencies must be positive")
+        return [self.param(v) if p in need else None for p, v in given.items()]
 
 
 def _drop_cancelled(clean: dict, summed: list):
@@ -88,11 +113,49 @@ def _mono_add(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _positions(vars: tuple, new_vars: tuple) -> list:
+    """Index in ``new_vars`` of each of ``vars``; all must be present."""
+    for v in vars:
+        if v not in new_vars:
+            raise VariableMismatchError(f"{v!r} missing from {new_vars}")
+    return [new_vars.index(v) for v in vars]
+
+
+class _TermMap:
+    """What polynomials and operators share: a registry ``vars``, a mode
+    flag ``exact`` and a ``terms`` map from keys to nonzero coefficients."""
+
+    __slots__ = ()
+
+    def _check(self, other):
+        if self.vars != other.vars:
+            raise VariableMismatchError(
+                f"registries differ: {self.vars} vs {other.vars}")
+        if self.exact != other.exact:
+            raise TypeError("cannot mix float-mode and rational-mode "
+                            f"{type(self).__name__} values")
+
+    def is_zero(self, tol: float = 0.0) -> bool:
+        if tol == 0.0:
+            return not self.terms
+        return all(abs(c) <= tol for c in self.terms.values())
+
+    def max_norm(self) -> float:
+        """Largest coefficient magnitude (0 for the zero value)."""
+        return max((abs(c) for c in self.terms.values()), default=0.0)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.vars == other.vars and self.exact == other.exact
+                and self.terms == other.terms)
+
+
 # ---------------------------------------------------------------------------
 # MultiPoly
 # ---------------------------------------------------------------------------
 
-class MultiPoly:
+class MultiPoly(_TermMap):
     """Sparse polynomial: map from exponent multi-index to coefficient.
 
     Parameters
@@ -160,22 +223,6 @@ class MultiPoly:
         return cls(vars, terms, exact)
 
     # -- bookkeeping ------------------------------------------------------
-
-    def _check(self, other: "MultiPoly"):
-        if self.vars != other.vars:
-            raise VariableMismatchError(
-                f"registries differ: {self.vars} vs {other.vars}")
-        if self.exact != other.exact:
-            raise TypeError("cannot mix float-mode and rational-mode polynomials")
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if tol == 0.0:
-            return not self.terms
-        return all(coeff_abs(c) <= tol for c in self.terms.values())
-
-    def max_norm(self) -> float:
-        """Largest coefficient magnitude (0 for the zero polynomial)."""
-        return max((coeff_abs(c) for c in self.terms.values()), default=0.0)
 
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
@@ -251,12 +298,6 @@ class MultiPoly:
             n >>= 1
         return result
 
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return (self.vars == other.vars and self.exact == other.exact
-                and self.terms == other.terms)
-
     def max_diff(self, other: "MultiPoly") -> float:
         """Largest coefficient magnitude of self - other."""
         return (self - other).max_norm()
@@ -312,11 +353,7 @@ class MultiPoly:
     def embed(self, new_vars) -> "MultiPoly":
         """Widen to a superset registry (explicit, never implicit)."""
         new_vars = tuple(new_vars)
-        pos = []
-        for v in self.vars:
-            if v not in new_vars:
-                raise VariableMismatchError(f"{v!r} missing from {new_vars}")
-            pos.append(new_vars.index(v))
+        pos = _positions(self.vars, new_vars)
         out = {}
         for mono, c in self.terms.items():
             m = [0] * len(new_vars)
@@ -483,18 +520,11 @@ class ExpPolyFn:
         return f"ExpPolyFn({self.poly!r}, exp={self.exponent!r})"
 
 
-def coeff_max_norm(f) -> float:
-    """Largest coefficient magnitude of a function or polynomial."""
-    if isinstance(f, ExpPolyFn):
-        return f.poly.max_norm()
-    return f.max_norm()
-
-
 # ---------------------------------------------------------------------------
 # DiffOp
 # ---------------------------------------------------------------------------
 
-class DiffOp:
+class DiffOp(_TermMap):
     """Normal-ordered polynomial differential operator.
 
     Terms are ``(mult, deriv) -> c`` standing for ``c * v^mult * D^deriv``
@@ -560,8 +590,7 @@ class DiffOp:
     @classmethod
     def momentum(cls, name, vars, exact: bool = False) -> "DiffOp":
         """-i d/dname, the quantum momentum conjugate to a coordinate."""
-        i = Exact.imag_unit() if exact else 1j
-        return cls.derivative(name, vars, exact) * (-i)
+        return cls.derivative(name, vars, exact) * (-Field(exact).i)
 
     @classmethod
     def from_poly(cls, poly: MultiPoly) -> "DiffOp":
@@ -571,13 +600,6 @@ class DiffOp:
                    poly.exact)
 
     # -- algebra ----------------------------------------------------------
-
-    def _check(self, other: "DiffOp"):
-        if self.vars != other.vars:
-            raise VariableMismatchError(
-                f"registries differ: {self.vars} vs {other.vars}")
-        if self.exact != other.exact:
-            raise TypeError("cannot mix float-mode and rational-mode operators")
 
     def __add__(self, other):
         if isinstance(other, DiffOp):
@@ -646,11 +668,7 @@ class DiffOp:
 
     def embed(self, new_vars) -> "DiffOp":
         new_vars = tuple(new_vars)
-        pos = []
-        for v in self.vars:
-            if v not in new_vars:
-                raise VariableMismatchError(f"{v!r} missing from {new_vars}")
-            pos.append(new_vars.index(v))
+        pos = _positions(self.vars, new_vars)
         out = {}
         for (mult, deriv), c in self.terms.items():
             m = [0] * len(new_vars)
@@ -697,20 +715,6 @@ class DiffOp:
 
     # -- inspection ---------------------------------------------------------
 
-    def max_norm(self) -> float:
-        return max((coeff_abs(c) for c in self.terms.values()), default=0.0)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        if tol == 0.0:
-            return not self.terms
-        return all(coeff_abs(c) <= tol for c in self.terms.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return (self.vars == other.vars and self.exact == other.exact
-                and self.terms == other.terms)
-
     def __repr__(self):
         if not self.terms:
             return "DiffOp(0)"
@@ -729,16 +733,6 @@ class DiffOp:
 # ---------------------------------------------------------------------------
 # named operations
 # ---------------------------------------------------------------------------
-
-def diffop_apply(op: DiffOp, f):
-    """Functional alias for :meth:`DiffOp.apply`."""
-    return op.apply(f)
-
-
-def diffop_commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    """Functional alias for :meth:`DiffOp.commutator`."""
-    return a.commutator(b)
-
 
 def hermite(n: int, arg: MultiPoly) -> MultiPoly:
     """Physicists' Hermite polynomial H_n evaluated at a linear form.

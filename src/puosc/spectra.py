@@ -5,7 +5,8 @@ operators, constructs every eigenfunction family (ghost, positive
 realization, equal-frequency degenerate, truncated continuum,
 non-stationary descendants) and measures eigen-residuals as coefficient
 norms after exact operator application, so no grids or quadrature enter
-the verification.
+the verification.  The ghost and positive families are built in one place,
+:func:`eigen_suite`, which shares the Hermite tables of all members.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import Exact
-from .polyalg import (DiffOp, ExpPolyFn, MultiPoly, QuadExponent,
-                      exp_diff_apply, hermite, scalar_tools)
+from .polyalg import (DiffOp, ExpPolyFn, Field, MultiPoly, QuadExponent,
+                      exp_diff_apply, hermite)
 
 QX = ("q", "x")
 QXT = ("q", "x", "t")
@@ -113,105 +114,77 @@ class DensityScanResult:
 # operators
 # ---------------------------------------------------------------------------
 
-OPERATOR_NAMES = ("H_pu", "H_tilde", "H_interacting", "O_xy", "O_zw", "O_eq",
-                  "L_charge", "H_free_particle")
+OPERATOR_PARAMS = {
+    "H_pu": ("omega1", "omega2"), "H_tilde": ("omega",),
+    "H_interacting": ("omega",), "O_xy": ("omega1", "omega2"),
+    "O_zw": ("omega1", "omega2"), "O_eq": ("omega",), "L_charge": ("omega",),
+    "H_free_particle": (),
+}
+OPERATOR_NAMES = tuple(OPERATOR_PARAMS)
+_OPERATOR_VARS = {"O_xy": XY, "O_zw": ("z", "w"), "O_eq": ("z",),
+                  "H_free_particle": ("x",)}
 
 
 def build_operator(name: str, *, omega1=None, omega2=None, omega=None,
                    alpha=0, beta=0, gamma=0, exact: bool = False) -> DiffOp:
     """Quantum operators with momenta realized as -i d/dv."""
-    num, sqrt, i_ = scalar_tools(exact)
-    half = Fraction(1, 2) if exact else 0.5
+    if name not in OPERATOR_PARAMS:
+        raise ValueError(
+            f"unknown operator {name!r}; expected one of {OPERATOR_NAMES}")
+    f = Field(exact)
+    om1, om2, om = f.frequencies(name, OPERATOR_PARAMS[name], omega1=omega1,
+                                 omega2=omega2, omega=omega)
+    num, sqrt, i_, half = f.num, f.sqrt, f.i, f.frac(1, 2)
+    vars = _OPERATOR_VARS.get(name, QX)
+    one = DiffOp.identity(vars, exact)
+
+    def c(v):
+        return DiffOp.coordinate(v, vars, exact)
+
+    def d(v, order=1):
+        return DiffOp.derivative(v, vars, exact, order=order)
 
     if name == "H_pu":
-        if omega1 is None or omega2 is None:
-            raise ValueError("H_pu needs omega1 and omega2")
-        om1 = Fraction(omega1) if exact else float(omega1)
-        om2 = Fraction(omega2) if exact else float(omega2)
-        x_dq = DiffOp.coordinate("x", QX, exact) * DiffOp.derivative("q", QX, exact)
-        dxx = DiffOp.derivative("x", QX, exact, order=2)
-        x2 = DiffOp.coordinate("x", QX, exact) ** 2
-        q2 = DiffOp.coordinate("q", QX, exact) ** 2
-        return (-i_) * x_dq - dxx * num(half) \
-            + x2 * num((om1 ** 2 + om2 ** 2) * half) \
-            - q2 * num(om1 ** 2 * om2 ** 2 * half)
+        return (-i_) * (c("x") * d("q")) - d("x", 2) * num(half) \
+            + c("x") ** 2 * num((om1 ** 2 + om2 ** 2) * half) \
+            - c("q") ** 2 * num(om1 ** 2 * om2 ** 2 * half)
 
     if name in ("H_tilde", "H_interacting"):
-        if omega is None:
-            raise ValueError(f"{name} needs omega")
-        om = Fraction(omega) if exact else float(omega)
-        dxx = DiffOp.derivative("x", QX, exact, order=2)
-        q_dx = DiffOp.coordinate("q", QX, exact) * DiffOp.derivative("x", QX, exact)
-        x_dq = DiffOp.coordinate("x", QX, exact) * DiffOp.derivative("q", QX, exact)
-        op = -dxx * num(half) + i_ * num(om ** 2) * q_dx - i_ * x_dq
+        op = -d("x", 2) * num(half) + i_ * num(om ** 2) * (c("q") * d("x")) \
+            - i_ * (c("x") * d("q"))
         if name == "H_interacting":
-            q4 = DiffOp.coordinate("q", QX, exact) ** 4
-            x4 = DiffOp.coordinate("x", QX, exact) ** 4
-            q2x2 = (DiffOp.coordinate("q", QX, exact) ** 2) \
-                * (DiffOp.coordinate("x", QX, exact) ** 2)
-            op = op + q4 * num(alpha) + q2x2 * num(beta) + x4 * num(gamma)
+            op = op + c("q") ** 4 * num(alpha) \
+                + c("q") ** 2 * c("x") ** 2 * num(beta) + c("x") ** 4 * num(gamma)
         return op
 
     if name == "O_xy":
-        if omega1 is None or omega2 is None:
-            raise ValueError("O_xy needs omega1 and omega2")
-        om1 = Fraction(omega1) if exact else float(omega1)
-        om2 = Fraction(omega2) if exact else float(omega2)
-        dxx = DiffOp.derivative("x", XY, exact, order=2)
-        x_dy = DiffOp.coordinate("x", XY, exact) * DiffOp.derivative("y", XY, exact)
-        x_dx = DiffOp.coordinate("x", XY, exact) * DiffOp.derivative("x", XY, exact)
-        y_dx = DiffOp.coordinate("y", XY, exact) * DiffOp.derivative("x", XY, exact)
-        return -dxx * num(half) - x_dy + x_dx * num(om1 + om2) \
-            + y_dx * num(om1 * om2) \
-            + DiffOp.identity(XY, exact) * num((om1 + om2) * half)
+        return -d("x", 2) * num(half) - c("x") * d("y") \
+            + c("x") * d("x") * num(om1 + om2) + c("y") * d("x") * num(om1 * om2) \
+            + one * num((om1 + om2) * half)
 
     if name == "O_zw":
-        if omega1 is None or omega2 is None:
-            raise ValueError("O_zw needs omega1 and omega2")
-        if omega1 == omega2:
+        if om1 == om2:
             raise EqualFrequencyError(
                 "O_zw is stated for distinct z, w variables")
-        om1 = Fraction(omega1) if exact else float(omega1)
-        om2 = Fraction(omega2) if exact else float(omega2)
-        zw = ("z", "w")
-        dz = DiffOp.derivative("z", zw, exact)
-        dw = DiffOp.derivative("w", zw, exact)
-        z_dz = DiffOp.coordinate("z", zw, exact) * dz
-        w_dw = DiffOp.coordinate("w", zw, exact) * dw
-        return (dz * dz * num(-half) + z_dz) * num(om1) \
-            + (dw * dw * num(-half) + w_dw) * num(om2) \
-            - (dz * dw) * sqrt(om1 * om2) \
-            + DiffOp.identity(zw, exact) * num((om1 + om2) * half)
+        dz, dw = d("z"), d("w")
+        return (dz * dz * num(-half) + c("z") * dz) * num(om1) \
+            + (dw * dw * num(-half) + c("w") * dw) * num(om2) \
+            - (dz * dw) * sqrt(om1 * om2) + one * num((om1 + om2) * half)
 
     if name == "O_eq":
-        if omega is None:
-            raise ValueError("O_eq needs omega")
-        om = Fraction(omega) if exact else float(omega)
-        zz = ("z",)
-        dz = DiffOp.derivative("z", zz, exact)
-        z_dz = DiffOp.coordinate("z", zz, exact) * dz
-        return (-(dz * dz) + z_dz * 2 + DiffOp.identity(zz, exact)) * num(om)
+        dz = d("z")
+        return (-(dz * dz) + c("z") * dz * 2 + one) * num(om)
 
     if name == "L_charge":
-        if omega is None:
-            raise ValueError("L_charge needs omega")
-        om = Fraction(omega) if exact else float(omega)
-        quarter = Fraction(1, 4) if exact else 0.25
+        quarter = f.frac(1, 4)
         px = DiffOp.momentum("x", QX, exact)
         pq = DiffOp.momentum("q", QX, exact)
-        x_op = DiffOp.coordinate("x", QX, exact)
-        q_op = DiffOp.coordinate("q", QX, exact)
-        return x_op * pq * num(half / om) - q_op * px * num(om * half) \
-            + (px * px - pq * pq * num(1 / om ** 2 if exact else om ** -2)) \
-            * num(quarter / om) \
-            + (x_op * x_op) * num(3 * om * quarter) \
-            - (q_op * q_op) * num(3 * om ** 3 * quarter)
+        return c("x") * pq * num(half / om) - c("q") * px * num(om * half) \
+            + (px * px - pq * pq * num(om ** -2)) * num(quarter / om) \
+            + (c("x") * c("x")) * num(3 * om * quarter) \
+            - (c("q") * c("q")) * num(3 * om ** 3 * quarter)
 
-    if name == "H_free_particle":
-        xx = ("x",)
-        return DiffOp.derivative("x", xx, exact, order=2) * num(-half)
-
-    raise ValueError(f"unknown operator {name!r}; expected one of {OPERATOR_NAMES}")
+    return d("x", 2) * num(-half)                      # H_free_particle
 
 
 def commutator_check(omega, exact: bool = False) -> float:
@@ -226,7 +199,7 @@ def commutator_check(omega, exact: bool = False) -> float:
 # ---------------------------------------------------------------------------
 
 def _residual(op: DiffOp, fn: ExpPolyFn, energy_value, relative: bool = True) -> float:
-    """coeff_max_norm((op - E) fn), scaled by coeff_max_norm(E fn) if E != 0."""
+    """Max coefficient norm of (op - E) fn, over that of E fn if E fn != 0."""
     out = op.apply(fn)
     shifted = out.poly - fn.poly * energy_value
     r = shifted.max_norm()
@@ -236,178 +209,115 @@ def _residual(op: DiffOp, fn: ExpPolyFn, energy_value, relative: bool = True) ->
     return r / scale if scale > 0 else r
 
 
-def _hermite_args_ghost(params: SpectrumParams, exact: bool, vars=QX):
-    """Arguments of the two Hermite families of the ghost eigenfunctions."""
-    num, sqrt, i_ = scalar_tools(exact)
-    om1 = Fraction(params.omega1) if exact else float(params.omega1)
-    om2 = Fraction(params.omega2) if exact else float(params.omega2)
-    s1 = sqrt(om1)
-    s2 = sqrt(om2)
-    # H+ argument i sqrt(w1) (w2 q - i x); H- argument sqrt(w2) (w1 q + i x)
-    arg_plus = MultiPoly.linear({"q": i_ * s1 * num(om2), "x": s1}, vars, exact)
-    arg_minus = MultiPoly.linear({"q": s2 * num(om1), "x": i_ * s2}, vars, exact)
-    return arg_plus, arg_minus
+def _ghost_arguments(om1, om2, f: Field):
+    """Hermite arguments of the ghost family: H+ at i sqrt(w1) (w2 q - i x),
+    H- at sqrt(w2) (w1 q + i x)."""
+    s1, s2 = f.sqrt(om1), f.sqrt(om2)
+    return (MultiPoly.linear({"q": f.i * s1 * f.num(om2), "x": s1}, QX, f.exact),
+            MultiPoly.linear({"q": s2 * f.num(om1), "x": f.i * s2}, QX, f.exact))
 
 
-def _ghost_exponent(params: SpectrumParams, exact: bool, vars=QX) -> QuadExponent:
-    num, _, i_ = scalar_tools(exact)
-    om1 = Fraction(params.omega1) if exact else float(params.omega1)
-    om2 = Fraction(params.omega2) if exact else float(params.omega2)
-    half = Fraction(1, 2) if exact else 0.5
-    delta = om1 - om2
-    return QuadExponent.from_pairs({
-        ("q", "x"): -i_ * num(om1 * om2),
-        ("x", "x"): num(-delta * half),
-        ("q", "q"): num(-delta * om1 * om2 * half),
-    }, vars, exact)
+class _Family:
+    """The ghost or positive family at one frequency pair.
 
-
-def _mixed_sum(n: int, m: int, lam, h_first: list[MultiPoly],
-               h_second: list[MultiPoly], vars, exact: bool) -> MultiPoly:
-    """Common double-Hermite sum of both eigenfunction families.
-
-    For n >= m:  sum_k lam^k m!(n-m)!/((m-k)! k! (n-m+k)!) F_{n-m+k} S_k,
-    and the mirrored sum with the roles of the families swapped otherwise.
+    Holds the two Hermite tables up to ``kmax``, the coupling ``lam`` of the
+    double-Hermite sum, the registry, the Gaussian kernel and the name of
+    the operator the members are eigenfunctions of.
     """
-    if n < m:
-        return _mixed_sum(m, n, lam, h_second, h_first, vars, exact)
-    total = MultiPoly.zero(vars, exact)
-    for k in range(m + 1):
-        if exact:
-            c = (lam ** k) * Fraction(
-                math.factorial(m) * math.factorial(n - m),
-                math.factorial(m - k) * math.factorial(k)
-                * math.factorial(n - m + k))
+
+    def __init__(self, kind: str, params: SpectrumParams, kmax: int,
+                 exact: bool):
+        params.require_unequal()
+        f = Field(exact)
+        num, sqrt, i_ = f.num, f.sqrt, f.i
+        om1, om2 = f.param(params.omega1), f.param(params.omega2)
+        if kind == "ghost":
+            first, second = _ghost_arguments(om1, om2, f)
+            self.lam = i_ * num(om1 - om2) * sqrt(1 / (om1 * om2)) \
+                * num(f.frac(1, 4))
+            delta, half = om1 - om2, f.frac(1, 2)
+            self.kernel = QuadExponent.from_pairs({
+                ("q", "x"): -i_ * num(om1 * om2),
+                ("x", "x"): num(-delta * half),
+                ("q", "q"): num(-delta * om1 * om2 * half),
+            }, QX, exact)
+            self.vars, self.operator = QX, "H_pu"
+        elif kind == "positive":
+            first = MultiPoly.linear(
+                {"x": sqrt(om1), "y": sqrt(om1) * num(om2)}, XY, exact)
+            second = MultiPoly.linear(
+                {"x": sqrt(om2), "y": sqrt(om2) * num(om1)}, XY, exact)
+            self.lam = -(num(om1 + om2) * sqrt(1 / (om1 * om2))
+                         * num(f.frac(1, 4)))
+            self.vars, self.operator, self.kernel = XY, "O_xy", None
         else:
-            c = (lam ** k) * math.factorial(m) * math.factorial(n - m) \
-                / (math.factorial(m - k) * math.factorial(k)
-                   * math.factorial(n - m + k))
-        total = total + h_first[n - m + k] * h_second[k] * c
-    return total
+            raise ValueError(f"unknown eigenfunction kind {kind!r}")
+        self.exact = f.exact
+        self.h_first = [hermite(j, first) for j in range(kmax + 1)]
+        self.h_second = [hermite(j, second) for j in range(kmax + 1)]
+
+    def poly(self, n: int, m: int) -> MultiPoly:
+        """Member (n, m).  For n >= m, with F and S the two tables,
+
+            sum_k lam^k m!(n-m)!/((m-k)! k! (n-m+k)!) F_{n-m+k} S_k,
+
+        and the same sum with the tables swapped otherwise.
+        """
+        first, second = self.h_first, self.h_second
+        if n < m:
+            n, m, first, second = m, n, second, first
+        fact = math.factorial
+        total = MultiPoly.zero(self.vars, self.exact)
+        for k in range(m + 1):
+            if self.exact:      # a Fraction: Exact / int would invert
+                c = (self.lam ** k) * Fraction(
+                    fact(m) * fact(n - m), fact(m - k) * fact(k) * fact(n - m + k))
+            else:
+                c = (self.lam ** k) * fact(m) * fact(n - m) \
+                    / (fact(m - k) * fact(k) * fact(n - m + k))
+            total = total + first[n - m + k] * second[k] * c
+        return total
 
 
-def ghost_wavefunction(n: int, m: int, params: SpectrumParams,
-                       exact: bool = False) -> ExpPolyFn:
-    """Normalizable eigenfunction of the unequal-frequency oscillator."""
-    params.require_unequal()
-    num, sqrt, i_ = scalar_tools(exact)
-    om1 = Fraction(params.omega1) if exact else float(params.omega1)
-    om2 = Fraction(params.omega2) if exact else float(params.omega2)
-    arg_plus, arg_minus = _hermite_args_ghost(params, exact)
-    kmax = max(n, m)
-    h_plus = [hermite(j, arg_plus) for j in range(kmax + 1)]
-    h_minus = [hermite(j, arg_minus) for j in range(kmax + 1)]
-    quarter = Fraction(1, 4) if exact else 0.25
-    lam = i_ * num(om1 - om2) * sqrt(1 / (om1 * om2)) * num(quarter)
-    poly = _mixed_sum(n, m, lam, h_plus, h_minus, QX, exact)
-    return ExpPolyFn(poly, _ghost_exponent(params, exact))
-
-
-def positive_polynomial(n: int, m: int, params: SpectrumParams,
-                        exact: bool = False) -> MultiPoly:
-    """Polynomial eigenfunction of the positive-spectrum realization."""
-    params.require_unequal()
-    num, sqrt, i_ = scalar_tools(exact)
-    om1 = Fraction(params.omega1) if exact else float(params.omega1)
-    om2 = Fraction(params.omega2) if exact else float(params.omega2)
-    z = MultiPoly.linear({"x": sqrt(om1), "y": sqrt(om1) * num(om2)}, XY, exact)
-    w = MultiPoly.linear({"x": sqrt(om2), "y": sqrt(om2) * num(om1)}, XY, exact)
-    kmax = max(n, m)
-    hz = [hermite(j, z) for j in range(kmax + 1)]
-    hw = [hermite(j, w) for j in range(kmax + 1)]
-    quarter = Fraction(1, 4) if exact else 0.25
-    mu = -(num(om1 + om2) * sqrt(1 / (om1 * om2)) * num(quarter))
-    return _mixed_sum(n, m, mu, hz, hw, XY, exact)
-
-
-def eigenfunction(kind: str, n: int, m: int, params: SpectrumParams,
-                  exact: bool = False) -> EigenResult:
-    """Eigenfunction with its residual against the owning operator.
+def eigen_suite(kind: str, params: SpectrumParams, nmax: int, mmax: int = None,
+                exact: bool = False) -> list[EigenResult]:
+    """Members n <= nmax, m <= mmax of the ghost or positive family, in
+    row-major order, with their residuals against the owning operator.
 
     ``ghost`` applies the full position-space Hamiltonian to the Gaussian
     wavefunction; ``positive`` applies the phase-stripped operator in the
     (x, y) variables to the bare polynomial.
     """
-    if n < 0 or m < 0:
-        raise ValueError("level indices must be nonnegative")
-    if kind == "ghost":
-        fn = ghost_wavefunction(n, m, params, exact)
-        h = build_operator("H_pu", omega1=params.omega1, omega2=params.omega2,
-                           exact=exact)
-        e = energy("ghost", n, m, params)
-        res = _residual(h, fn, e, relative=True)
-        return EigenResult(fn, e, res, {"n": n, "m": m, "kind": kind})
-    if kind == "positive":
-        poly = positive_polynomial(n, m, params, exact)
-        fn = ExpPolyFn(poly)
-        o = build_operator("O_xy", omega1=params.omega1, omega2=params.omega2,
-                           exact=exact)
-        e = energy("positive", n, m, params)
-        res = _residual(o, fn, e, relative=True)
-        return EigenResult(fn, e, res, {"n": n, "m": m, "kind": kind})
-    raise ValueError(f"unknown eigenfunction kind {kind!r}")
-
-
-def eigen_suite(kind: str, params: SpectrumParams, nmax: int, mmax: int = None,
-                exact: bool = False) -> list[EigenResult]:
-    """All residuals for n <= nmax, m <= mmax, sharing Hermite tables."""
     if mmax is None:
         mmax = nmax
-    params.require_unequal()
-    num, sqrt, i_ = scalar_tools(exact)
-    om1 = Fraction(params.omega1) if exact else float(params.omega1)
-    om2 = Fraction(params.omega2) if exact else float(params.omega2)
-    quarter = Fraction(1, 4) if exact else 0.25
-    kmax = max(nmax, mmax)
-    if kind == "ghost":
-        a_first, a_second = _hermite_args_ghost(params, exact)
-        vars = QX
-        lam = i_ * num(om1 - om2) * sqrt(1 / (om1 * om2)) * num(quarter)
-        op = build_operator("H_pu", omega1=params.omega1,
-                            omega2=params.omega2, exact=exact)
-        exponent = _ghost_exponent(params, exact)
-    elif kind == "positive":
-        a_first = MultiPoly.linear({"x": sqrt(om1), "y": sqrt(om1) * num(om2)},
-                                   XY, exact)
-        a_second = MultiPoly.linear({"x": sqrt(om2), "y": sqrt(om2) * num(om1)},
-                                    XY, exact)
-        vars = XY
-        lam = -(num(om1 + om2) * sqrt(1 / (om1 * om2)) * num(quarter))
-        op = build_operator("O_xy", omega1=params.omega1,
-                            omega2=params.omega2, exact=exact)
-        exponent = None
-    else:
-        raise ValueError(f"unknown eigenfunction kind {kind!r}")
-    h_first = [hermite(j, a_first) for j in range(kmax + 1)]
-    h_second = [hermite(j, a_second) for j in range(kmax + 1)]
+    if nmax < 0 or mmax < 0:
+        raise ValueError("nmax and mmax must be nonnegative")
+    family = _Family(kind, params, max(nmax, mmax), exact)
+    op = build_operator(family.operator, omega1=params.omega1,
+                        omega2=params.omega2, exact=exact)
     out = []
     for n in range(nmax + 1):
         for m in range(mmax + 1):
-            poly = _mixed_sum(n, m, lam, h_first, h_second, vars, exact)
-            fn = ExpPolyFn(poly, exponent)
+            fn = ExpPolyFn(family.poly(n, m), family.kernel)
             e = energy(kind, n, m, params)
-            res = _residual(op, fn, e, relative=True)
-            out.append(EigenResult(fn, e, res, {"n": n, "m": m, "kind": kind}))
+            out.append(EigenResult(fn, e, _residual(op, fn, e),
+                                   {"n": n, "m": m, "kind": kind}))
     return out
 
 
 def degenerate_level(level: int, omega, exact: bool = False) -> EigenResult:
     """Equal-frequency representative at n - m = level (either sign)."""
-    num, sqrt, i_ = scalar_tools(exact)
-    om = Fraction(omega) if exact else float(omega)
-    params = SpectrumParams(om, om)
-    arg_plus, arg_minus = _hermite_args_ghost(params, exact)
+    f = Field(exact)
+    (om,) = f.frequencies("degenerate_level", ("omega",), omega=omega)
+    arg_plus, arg_minus = _ghost_arguments(om, om, f)
     poly = hermite(abs(level), arg_plus if level >= 0 else arg_minus)
-    exponent = QuadExponent.from_pairs({("q", "x"): -i_ * num(om ** 2)}, QX, exact)
+    exponent = QuadExponent.from_pairs({("q", "x"): -f.i * f.num(om ** 2)},
+                                       QX, exact)
     fn = ExpPolyFn(poly, exponent)
     e = om * level
     h = build_operator("H_pu", omega1=om, omega2=om, exact=exact)
-    res = _residual(h, fn, e, relative=True)
-    return EigenResult(fn, e, res, {"level": level, "kind": "degenerate"})
-
-
-def degenerate_family(levels, omega, exact: bool = False) -> list[EigenResult]:
-    return [degenerate_level(n, omega, exact) for n in levels]
+    return EigenResult(fn, e, _residual(h, fn, e),
+                       {"level": level, "kind": "degenerate"})
 
 
 # ---------------------------------------------------------------------------
@@ -423,34 +333,34 @@ def descendant(order: int, omega, exact: bool = False) -> ExpPolyFn:
     """
     if order not in (0, 1, 2):
         raise ValueError("descendant order must be 0, 1, or 2")
-    num, sqrt, i_ = scalar_tools(exact)
-    om = Fraction(omega) if exact else float(omega)
-    half = Fraction(1, 2) if exact else 0.5
-    eighth = Fraction(1, 8) if exact else 0.125
-    q = MultiPoly.var("q", QXT, exact)
-    x = MultiPoly.var("x", QXT, exact)
-    t = MultiPoly.var("t", QXT, exact)
+    f = Field(exact)
+    num, i_ = f.num, f.i
+    om = f.param(omega)
+    q, x, t = (MultiPoly.var(v, QXT, exact) for v in QXT)
     u = x * x + q * q * num(om ** 2)
     if order == 0:
         poly = MultiPoly.const(1, QXT, exact)
     elif order == 1:
         poly = t - i_ * u
     else:
-        poly = t * t - (t * u) * (i_ * 2) - (u * u) * num(half) \
-            - (q * x) * i_ + MultiPoly.const(num(eighth / om ** 2), QXT, exact)
+        poly = t * t - (t * u) * (i_ * 2) - (u * u) * num(f.frac(1, 2)) \
+            - (q * x) * i_ + MultiPoly.const(num(f.frac(1, 8) / om ** 2),
+                                             QXT, exact)
     exponent = QuadExponent.from_pairs({("q", "x"): -i_ * num(om ** 2)},
                                        QXT, exact)
     return ExpPolyFn(poly, exponent)
 
 
-def descendant_time_residual(fn: ExpPolyFn, omega, exact: bool = False) -> float:
-    """coeff_max_norm(i d/dt fn - H_pu fn) for equal frequencies."""
-    _, _, i_ = scalar_tools(exact)
+def _time_residual(fn: ExpPolyFn, h: DiffOp, exact: bool) -> float:
+    """Max coefficient norm of i d/dt fn - h fn."""
     dt = DiffOp.derivative("t", fn.poly.vars, exact)
+    return ((dt * Field(exact).i).apply(fn).poly - h.apply(fn).poly).max_norm()
+
+
+def descendant_time_residual(fn: ExpPolyFn, omega, exact: bool = False) -> float:
+    """Time-equation residual of a descendant at equal frequencies."""
     h = build_operator("H_pu", omega1=omega, omega2=omega, exact=exact)
-    lhs = (dt * i_).apply(fn)
-    rhs = h.apply(fn)
-    return (lhs.poly - rhs.poly).max_norm()
+    return _time_residual(fn, h, exact)
 
 
 FREE_DESCENDANT_ORDERS = (0, 1, 2, 3, 4)
@@ -461,8 +371,8 @@ def free_descendant(order: int, exact: bool = False) -> ExpPolyFn:
     t^2 - 2 i t x^2 - x^4/3."""
     if order not in FREE_DESCENDANT_ORDERS:
         raise ValueError("free descendant order must be in 0..4")
-    _, _, i_ = scalar_tools(exact)
-    third = Fraction(1, 3) if exact else (1.0 / 3.0)
+    f = Field(exact)
+    i_, third = f.i, f.frac(1, 3)
     xt = ("x", "t")
     x = MultiPoly.var("x", xt, exact)
     t = MultiPoly.var("t", xt, exact)
@@ -477,12 +387,8 @@ def free_descendant(order: int, exact: bool = False) -> ExpPolyFn:
 
 
 def free_descendant_time_residual(fn: ExpPolyFn, exact: bool = False) -> float:
-    _, _, i_ = scalar_tools(exact)
-    dt = DiffOp.derivative("t", fn.poly.vars, exact)
-    h = build_operator("H_free_particle", exact=exact)
-    lhs = (dt * i_).apply(fn)
-    rhs = h.apply(fn)
-    return (lhs.poly - rhs.poly).max_norm()
+    return _time_residual(fn, build_operator("H_free_particle", exact=exact),
+                          exact)
 
 
 # ---------------------------------------------------------------------------
@@ -583,9 +489,10 @@ def gram_minimum_singular_values(level: int, deltas, base_omega=1.0) -> list[flo
         if level == 0:
             out.append(1.0)
             continue
-        params = SpectrumParams(base_omega + delta, base_omega)
-        polys = [positive_polynomial(n, level - n, params)
-                 for n in range(level + 1)]
+        family = _Family("positive",
+                         SpectrumParams(base_omega + delta, base_omega),
+                         level, exact=False)
+        polys = [family.poly(n, level - n) for n in range(level + 1)]
         monos = sorted({m for p in polys for m in p.terms})
         vecs = []
         for p in polys:

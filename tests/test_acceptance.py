@@ -19,7 +19,7 @@ from puosc.dynamics import (envelope_growth, integrate, make_system,
                             stability_scan)
 from puosc.phasespace import (MAP_NAMES, build_hamiltonian, build_map,
                               transform_equals, verify_symplectic)
-from puosc.polyalg import MultiPoly, hermite, scalar_tools
+from puosc.polyalg import Field, MultiPoly, hermite
 from puosc.spectra import SpectrumParams
 
 
@@ -53,7 +53,7 @@ def test_ac02_positive_realization():
 
 
 def test_ac03_equal_frequency_limit():
-    num, sqrt_, _ = scalar_tools(True)
+    num, sqrt_ = Field(True).num, Field(True).sqrt
     worst = 0.0
     for om in (Fraction(1), Fraction(4)):
         o = spectra.build_operator("O_xy", omega1=om, omega2=om, exact=True)

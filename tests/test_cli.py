@@ -88,6 +88,23 @@ def test_scan_grid_artifact(tmp_path, capsys):
     assert len(payload["bounded"]) == 3
 
 
+def test_scan_grid_keys_follow_the_state_layout(tmp_path, capsys):
+    # the robert state is (x, p, D, P): the grid spans x and p
+    grid_path = tmp_path / "scan.json"
+    code, _ = run_cli(capsys, "classical", "scan", "--system", "robert",
+                      "--omega", "1", "--extent", "0.5", "--cells", "2",
+                      "--t-probe", "2", "--out-grid", str(grid_path))
+    assert code == 0
+    payload = json.loads(grid_path.read_text())
+    assert set(payload) == {"x_values", "p_values", "bounded", "island"}
+
+
+def test_missing_system_parameters_name_the_flags(capsys):
+    assert main(["classical", "run", "--system", "robert", "--ic", "1,0,0,0",
+                 "--t-end", "1"]) == 2
+    assert capsys.readouterr().err == "error: robert needs --omega\n"
+
+
 def test_exit_code_on_usage_errors(capsys):
     # argparse errors are returned as 2, not raised as SystemExit
     assert main(["verify", "nonsense"]) == 2
@@ -121,6 +138,11 @@ def test_usage_error_returns_2_without_raising(capsys):
     (("verify", "descendants", "--omega", "0"), "--omega must be > 0, got 0"),
     (("continuum", "residual", "--omega", "-1"),
      "--omega must be > 0, got -1.0"),
+    (("classical", "scan", "--system", "pu_quartic", "--omega1", "1",
+      "--omega2", "1", "--cells", "0"), "--cells must be >= 1, got 0"),
+    (("classical", "envelope", "--system", "robert", "--omega", "1",
+      "--ic", "1,0,0.3,0", "--window", "0"), "--window must be > 0, got 0.0"),
+    (("variational", "check", "--sets", "0"), "--sets must be >= 1, got 0"),
 ])
 def test_invalid_inputs_name_the_flag(capsys, argv, message):
     assert main(list(argv)) == 2

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from puosc.exact import Exact
-from puosc.phasespace import (DIAG_VARS, PU_PAIRS, PU_VARS,
-                              CanonicalMap, PhasePoly, SingularMapError,
+from puosc.dynamics import CLASSICAL_SYSTEMS
+from puosc.phasespace import (DIAG_VARS, HAMILTONIAN_NAMES, PU_PAIRS, PU_VARS,
+                              SYSTEMS, CanonicalMap, PhasePoly,
+                              SingularMapError,
                               build_hamiltonian, build_map, poisson_bracket,
                               transform_equals, transform_interaction,
                               verify_symplectic)
@@ -176,6 +178,34 @@ def test_v1_requires_positive_coupling():
 def test_unknown_hamiltonian():
     with pytest.raises(ValueError):
         build_hamiltonian("pw", omega1=2, omega2=1)
+
+
+def test_registry_lists_every_hamiltonian_once():
+    assert HAMILTONIAN_NAMES == tuple(SYSTEMS)
+    assert CLASSICAL_SYSTEMS == ("pu", "pu_quartic", "diag_ghost_plus_V1",
+                                 "diag_ghost_plus_V2", "robert",
+                                 "robert_gamma")
+    given = {"omega1": Fraction(2), "omega2": Fraction(1),
+             "omega": Fraction(3, 2), "lam": Fraction(1, 2)}
+    for name, system in SYSTEMS.items():
+        h = build_hamiltonian(name, exact=True, **{
+            p: given.get(p, Fraction(1, 3)) for p in system.params})
+        assert h.poly.vars == system.vars
+        assert h.pairs == system.pairs
+
+
+@pytest.mark.parametrize("name, kwargs, message", [
+    ("pu", {"omega1": 2}, "'pu' needs omega2"),
+    ("htild", {}, "'htild' needs omega"),
+    ("rot", {}, "'rot' needs omega1 and omega2"),
+    ("robert", {"omega": -1}, "frequencies must be positive"),
+    ("diag_positive", {"omega1": 2, "omega2": 0},
+     "frequencies must be positive"),
+])
+def test_hamiltonian_parameters_checked_against_registry(name, kwargs,
+                                                         message):
+    with pytest.raises(ValueError, match=message):
+        build_hamiltonian(name, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puosc.exact import Exact
-from puosc.polyalg import (DiffOp, ExpPolyFn, MultiPoly, QuadExponent,
-                           VariableMismatchError, coeff_max_norm,
-                           diffop_apply, diffop_commutator, exp_diff_apply,
-                           hermite)
+from puosc.polyalg import (DiffOp, ExpPolyFn, Field, MultiPoly, QuadExponent,
+                           VariableMismatchError, exp_diff_apply, hermite)
 
 Z = ("z",)
 QX = ("q", "x")
@@ -197,8 +195,7 @@ def test_hermite_ode():
 def test_canonical_pair_identity():
     # [v, p_v] applied to any function equals i * function
     rng = np.random.default_rng(5)
-    op = diffop_commutator(DiffOp.coordinate("q", QX),
-                           DiffOp.momentum("q", QX))
+    op = DiffOp.coordinate("q", QX).commutator(DiffOp.momentum("q", QX))
     for _ in range(5):
         poly = MultiPoly(QX, {(int(rng.integers(0, 3)), int(rng.integers(0, 3))):
                               complex(*rng.normal(size=2)) for _ in range(3)})
@@ -209,8 +206,8 @@ def test_canonical_pair_identity():
 
 
 def test_mixed_partials_commute():
-    assert diffop_commutator(DiffOp.derivative("x", QX),
-                             DiffOp.derivative("q", QX)).is_zero()
+    assert DiffOp.derivative("x", QX).commutator(
+        DiffOp.derivative("q", QX)).is_zero()
 
 
 def test_commutator_antisymmetric_and_bilinear():
@@ -219,11 +216,11 @@ def test_commutator_antisymmetric_and_bilinear():
         a = _random_diffop(rng, QX)
         b = _random_diffop(rng, QX)
         c = _random_diffop(rng, QX)
-        anti = diffop_commutator(a, b) + diffop_commutator(b, a)
+        anti = a.commutator(b) + b.commutator(a)
         assert anti.max_norm() <= 1e-12
         s = complex(*rng.normal(size=2))
-        lin = diffop_commutator(a * s + b, c) \
-            - (diffop_commutator(a, c) * s + diffop_commutator(b, c))
+        lin = (a * s + b).commutator(c) \
+            - (a.commutator(c) * s + b.commutator(c))
         assert lin.max_norm() <= 1e-10
 
 
@@ -249,7 +246,7 @@ def test_composition_factors_through_application():
         via_compose = (a * b).apply(fn)
         via_chain = a.apply(b.apply(fn))
         assert via_compose.exponent == fn.exponent
-        scale = max(1.0, coeff_max_norm(via_chain))
+        scale = max(1.0, via_chain.poly.max_norm())
         assert (via_compose.poly - via_chain.poly).max_norm() <= 1e-12 * scale
 
 
@@ -319,13 +316,39 @@ def test_exp_diff_rejects_multiplication_terms():
 # ---------------------------------------------------------------------------
 
 def test_coeff_max_norm():
-    assert coeff_max_norm(MultiPoly.zero(Z)) == 0.0
+    assert MultiPoly.zero(Z).max_norm() == 0.0
     p = zvar() * 3 + MultiPoly.const(-4j, Z)
-    assert coeff_max_norm(p) == pytest.approx(4.0)
-    assert coeff_max_norm(ExpPolyFn(p)) == pytest.approx(4.0)
+    assert p.max_norm() == pytest.approx(4.0)
+    assert ExpPolyFn(p).poly.max_norm() == pytest.approx(4.0)
+    assert DiffOp.from_poly(p).max_norm() == pytest.approx(4.0)
 
 
-def test_diffop_apply_alias():
-    z = zvar()
-    op = DiffOp.derivative("z", Z)
-    assert diffop_apply(op, z ** 3) == z * z * 3
+# ---------------------------------------------------------------------------
+# arithmetic modes
+# ---------------------------------------------------------------------------
+
+def test_field_float_mode_matches_literals():
+    f = Field(False)
+    assert (f.param, f.i) == (float, 1j)
+    assert [f.frac(1, 2), f.frac(1, 4), f.frac(1, 8), f.frac(1, 3)] \
+        == [0.5, 0.25, 0.125, 1.0 / 3.0]
+    assert f.num(Fraction(1, 4)) == 0.25 + 0j
+    assert f.sqrt(2) == complex(2 ** 0.5)
+
+
+def test_field_exact_mode():
+    f = Field(True)
+    assert f.param is Fraction
+    assert f.frac(1, 3) == Fraction(1, 3)
+    assert f.i * f.i == Exact.coerce(-1)
+    assert f.sqrt(Fraction(8)) * f.sqrt(Fraction(2)) == f.num(4)
+
+
+def test_field_frequencies():
+    f = Field(True)
+    assert f.frequencies("op", ("omega",), omega1=None, omega=2) \
+        == [None, Fraction(2)]
+    with pytest.raises(ValueError, match="op needs omega1 and omega2"):
+        f.frequencies("op", ("omega1", "omega2"), omega1=None, omega2=None)
+    with pytest.raises(ValueError, match="frequencies must be positive"):
+        f.frequencies("op", ("omega",), omega=0)

@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 from puosc.exact import Exact
-from puosc.polyalg import (DiffOp, MultiPoly, QuadExponent, hermite,
-                           scalar_tools)
+from puosc.polyalg import DiffOp, Field, MultiPoly, QuadExponent, hermite
 from puosc.spectra import (QX, XY, EqualFrequencyError, SpectrumParams,
                            build_operator, commutator_check,
-                           continuum_eigenfunction, degenerate_family,
-                           degenerate_level, density_scan, descendant,
-                           descendant_time_residual, eigen_suite,
-                           eigenfunction, energy, exp_hermite_identity,
+                           continuum_eigenfunction, degenerate_level,
+                           density_scan, descendant, descendant_time_residual,
+                           eigen_suite, energy, exp_hermite_identity,
                            free_descendant, free_descendant_time_residual,
                            gram_minimum_singular_values, hermite_sum_identity,
-                           jordan_norm_sq, positive_polynomial)
+                           jordan_norm_sq)
+
+
+def member(kind, n, m, params, exact=False):
+    """Member (n, m) of a family: the last result of its suite."""
+    return eigen_suite(kind, params, n, m, exact=exact)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +132,7 @@ def test_commutator_regression_guard():
 
 def test_ghost_ground_state_structure():
     # exp(-3iqx - (x^2 + 3q^2)) at (3, 1), energy 1, residual 0
-    r = eigenfunction("ghost", 0, 0, SpectrumParams(3.0, 1.0))
+    r = member("ghost", 0, 0, SpectrumParams(3.0, 1.0))
     assert r.energy == pytest.approx(1.0)
     assert r.residual <= 1e-14
     fn = r.wavefunction
@@ -146,11 +149,21 @@ def test_ghost_suite_small(pair):
     assert max(r.residual for r in results) <= 1e-9
 
 
+def test_eigen_suite_rejects_bad_requests():
+    params = SpectrumParams(3.0, 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        eigen_suite("ghost", params, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        eigen_suite("positive", params, 2, -1)
+    with pytest.raises(ValueError, match="unknown eigenfunction kind"):
+        eigen_suite("degenerate", params, 1)
+
+
 def test_ghost_requires_unequal_frequencies():
     with pytest.raises(EqualFrequencyError):
-        eigenfunction("ghost", 0, 0, SpectrumParams(1.0, 1.0))
+        eigen_suite("ghost", SpectrumParams(1.0, 1.0), 0)
     with pytest.raises(EqualFrequencyError):
-        eigenfunction("positive", 0, 0, SpectrumParams(1.0, 1.0))
+        eigen_suite("positive", SpectrumParams(1.0, 1.0), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +172,10 @@ def test_ghost_requires_unequal_frequencies():
 
 def test_positive_single_family_is_hermite():
     params = SpectrumParams(2.0, 1.0)
-    phi = positive_polynomial(2, 0, params)
+    r = member("positive", 2, 0, params)
+    phi = r.wavefunction.poly
     z = MultiPoly.linear({"x": math.sqrt(2.0), "y": math.sqrt(2.0)}, XY)
     assert (phi - hermite(2, z)).max_norm() < 1e-12
-    r = eigenfunction("positive", 2, 0, params)
     assert r.energy == pytest.approx(5.5)
     assert r.residual <= 1e-13
 
@@ -170,8 +183,10 @@ def test_positive_single_family_is_hermite():
 def test_positive_1_1_coefficient():
     # phi_11 = 1 + mu H_1(z) H_1(w), mu = -(w1+w2)/(4 sqrt(w1 w2))
     om1, om2 = Fraction(2), Fraction(1)
-    phi = positive_polynomial(1, 1, SpectrumParams(om1, om2), exact=True)
-    num, sqrt_, _ = scalar_tools(True)
+    phi = member("positive", 1, 1, SpectrumParams(om1, om2),
+                 exact=True).wavefunction.poly
+    f = Field(True)
+    num, sqrt_ = f.num, f.sqrt
     z = MultiPoly.linear({"x": sqrt_(om1), "y": sqrt_(om1) * num(om2)},
                          XY, True)
     w = MultiPoly.linear({"x": sqrt_(om2), "y": sqrt_(om2) * num(om1)},
@@ -184,7 +199,7 @@ def test_positive_1_1_coefficient():
 
 def test_positive_mirror_branch():
     params = SpectrumParams(2.0, 1.0)
-    r = eigenfunction("positive", 1, 3, params)
+    r = member("positive", 1, 3, params)
     assert r.energy == pytest.approx(1.5 * 2 + 3.5 * 1)
     assert r.residual <= 1e-13
 
@@ -194,8 +209,9 @@ def test_exact_and_float_modes_agree_numerically():
     params_f = SpectrumParams(2.5, 1.5)
     params_e = SpectrumParams(Fraction(5, 2), Fraction(3, 2))
     for n, m in ((3, 2), (1, 4)):
-        pf = positive_polynomial(n, m, params_f)
-        pe = positive_polynomial(n, m, params_e, exact=True).to_float()
+        pf = member("positive", n, m, params_f).wavefunction.poly
+        pe = member("positive", n, m, params_e,
+                    exact=True).wavefunction.poly.to_float()
         assert (pf - pe).max_norm() <= 1e-12 * max(1.0, pf.max_norm())
 
 
@@ -228,12 +244,13 @@ def test_degenerate_levels():
     assert rm.energy == pytest.approx(-1.0)
     assert rm.residual <= 1e-12
 
-    fam = degenerate_family(range(-5, 6), 2.0)
+    fam = [degenerate_level(n, 2.0) for n in range(-5, 6)]
     assert max(r.residual for r in fam) <= 1e-12
 
 
 def test_equal_frequency_xy_eigenvalues():
-    num, sqrt_, _ = scalar_tools(True)
+    f = Field(True)
+    num, sqrt_ = f.num, f.sqrt
     om = Fraction(1)
     o = build_operator("O_xy", omega1=om, omega2=om, exact=True)
     z = MultiPoly.linear({"x": sqrt_(om), "y": sqrt_(om) * num(om)}, XY, True)
@@ -351,6 +368,19 @@ def test_exp_hermite_identity_range():
 
 def test_gram_level_zero_is_trivial():
     assert gram_minimum_singular_values(0, [0.5, 0.1]) == [1.0, 1.0]
+
+
+def test_gram_builds_hermite_tables_once_per_delta(monkeypatch):
+    from puosc import spectra
+    calls = []
+
+    def counted(n, arg):
+        calls.append(n)
+        return hermite(n, arg)
+
+    monkeypatch.setattr(spectra, "hermite", counted)
+    gram_minimum_singular_values(3, [0.5, 0.1])
+    assert sorted(calls) == sorted(list(range(4)) * 4)
 
 
 def test_gram_strictly_decreasing():
