@@ -65,9 +65,9 @@ def to_complex(c) -> complex:
 class Field:
     """The scalars of one arithmetic mode.
 
-    ``param`` parses a frequency or coupling (``Fraction`` or ``float``),
-    ``num`` and ``sqrt`` make coefficients (``Exact`` or ``complex``), ``i``
-    is the imaginary unit and ``frac(a, b)`` the ratio a/b as a parameter.
+    ``param`` parses a frequency (``Fraction`` or ``float``), ``num`` and
+    ``sqrt`` make coefficients (``Exact`` or ``complex``), ``i`` is the
+    imaginary unit and ``frac(a, b)`` the ratio a/b as a parameter.
     """
 
     __slots__ = ("exact", "param", "num", "sqrt", "i")
