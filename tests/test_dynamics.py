@@ -142,6 +142,42 @@ def test_free_pu_matches_general_solution():
         assert np.max(np.abs(traj.sample(float(t)) - want)) <= 1e-6
 
 
+def _pu_field(om1, om2):
+    def f(t, s):
+        q, x, px, pq = s
+        return [x, px, -pq - (om1 ** 2 + om2 ** 2) * x, om1 ** 2 * om2 ** 2 * q]
+    return f
+
+
+def _robert_field(om, lam):
+    def f(t, s):
+        x, p, d, pp = s
+        return [pp, -d * (om ** 2 + 3 * lam * x * x), p,
+                -(om ** 2 * x + lam * x ** 3)]
+    return f
+
+
+@pytest.mark.parametrize("name, params, field, ic, t_end", [
+    ("pu", {"omega1": 1.9, "omega2": 0.7}, _pu_field(1.9, 0.7),
+     (0.3, -0.7, 1.1, 0.4), 50.0),
+    ("robert", {"omega": 1.0, "lam": 1.0}, _robert_field(1.0, 1.0),
+     (1.0, 0.0, 0.3, 0.0), 60.0),
+])
+def test_matches_scipy_dop853(name, params, field, ic, t_end):
+    # an independent integrator on hand-written vector fields; at rtol
+    # 1e-10 the global error over these spans is below 1e-8 of the orbit
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    spec = make_system(name, **params)
+    traj, verdict = integrate(spec, ic, t_end, rtol=1e-10, atol=1e-12)
+    assert not verdict.collapsed
+    assert traj.t_final == pytest.approx(t_end, rel=1e-12)
+    ref = scipy_integrate.solve_ivp(field, (0.0, t_end), ic, method="DOP853",
+                                    rtol=1e-13, atol=1e-13, dense_output=True)
+    want = ref.sol(traj.times).T
+    scale = np.max(np.abs(traj.states))
+    assert np.max(np.abs(want - traj.states)) <= 2e-8 * scale
+
+
 def test_tolerance_validation():
     spec = make_system("pu", omega1=2.0, omega2=1.0)
     with pytest.raises(ValueError):

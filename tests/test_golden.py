@@ -7,8 +7,9 @@ in-process through ``puosc.cli.main`` in a fresh temporary directory.  The
 test compares the report bytes, the exit code and the sha256 of every
 ``--csv``/``--cert`` artifact with ``tests/golden/``.
 
-Left out: ``classical envelope`` (about 6 s on a 2-core VM); the benchmark's
-``classical_orbits`` workload runs the same path as ``envelope_robert``.
+``EXTRA`` adds commands that no README line covers, under their own golden
+names: a ``pu_quartic`` run that collapses, which pins the amplitude trigger,
+the escape-time fit and the CSV of a run cut short.
 
 After a deliberate change of report bytes, rewrite the goldens with
 
@@ -32,7 +33,6 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 INDEX = GOLDEN / "index.json"
 UPDATE = os.environ.get("PUOSC_GOLDEN_UPDATE") == "1"
 ARTIFACT_FLAGS = ("--csv", "--cert")
-OMITTED = ("puosc classical envelope",)
 
 OTHER_MODE = [
     "puosc verify eigen --omega1 3 --omega2 1 --nmax 8 --mode rational",
@@ -42,6 +42,12 @@ OTHER_MODE = [
     "puosc verify descendants --omega 1 --mode rational",
 ]
 
+EXTRA = {
+    "classical-run-collapse":
+        "puosc classical run --system pu_quartic --omega1 1 --omega2 1 "
+        "--alpha 0.5 --ic 2,0,0,0 --t-end 60 --csv traj.csv",
+}
+
 
 def readme_commands() -> list[str]:
     text = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -50,8 +56,7 @@ def readme_commands() -> list[str]:
             if line.startswith("puosc ")]
 
 
-COMMANDS = [c for c in readme_commands() if not c.startswith(OMITTED)] \
-    + OTHER_MODE
+COMMANDS = readme_commands() + OTHER_MODE
 
 
 def slug(line: str) -> str:
@@ -63,15 +68,18 @@ def slug(line: str) -> str:
     return name
 
 
+CASES = [(slug(c), c) for c in COMMANDS] + list(EXTRA.items())
+
+
 def test_commands_have_distinct_goldens():
-    assert len({slug(c) for c in COMMANDS}) == len(COMMANDS)
+    assert len({name for name, _ in CASES}) == len(CASES)
     if not UPDATE:
         index = json.loads(INDEX.read_text(encoding="utf-8"))
-        assert sorted(index) == sorted(slug(c) for c in COMMANDS)
+        assert sorted(index) == sorted(name for name, _ in CASES)
 
 
-@pytest.mark.parametrize("line", COMMANDS, ids=slug)
-def test_report_matches_golden(line, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("name, line", CASES, ids=[n for n, _ in CASES])
+def test_report_matches_golden(name, line, tmp_path, monkeypatch, capsys):
     argv = shlex.split(line)[1:]
     monkeypatch.chdir(tmp_path)
     code = main(argv)
@@ -80,7 +88,6 @@ def test_report_matches_golden(line, tmp_path, monkeypatch, capsys):
         argv[i + 1]: hashlib.sha256((tmp_path / argv[i + 1]).read_bytes())
         .hexdigest()
         for i, flag in enumerate(argv) if flag in ARTIFACT_FLAGS}
-    name = slug(line)
     entry = {"argv": line, "exit": code, "artifacts": artifacts}
     if UPDATE:
         GOLDEN.mkdir(exist_ok=True)
