@@ -315,6 +315,9 @@ def _cmd_verify_descendants(args) -> Report:
 
 def _cmd_continuum_residual(args) -> Report:
     orders = [int(t) for t in str(args.orders).split(",")]
+    if len(set(orders)) < 2:
+        raise ValueError("--orders needs at least two distinct orders, "
+                         f"got {args.orders}")
     rep = Report("continuum residual", {
         "l": args.l, "k": args.k, "omega": args.omega, "orders": orders,
         "ratio_tol": args.ratio_tol})
@@ -738,14 +741,14 @@ _COUNT_MINIMA = {"nmax": 0, "eq_nmax": 0, "expmax": 0, "cells": 1, "sets": 1}
 
 
 def _check_inputs(args):
-    """Reject counts below their minimum and frequencies and windows not
-    above 0, naming the flag."""
+    """Reject counts below their minimum, and frequencies, windows and the
+    scan extent not above 0, naming the flag."""
     for dest, least in _COUNT_MINIMA.items():
         value = getattr(args, dest, None)
         if value is not None and value < least:
             raise ValueError(f"--{dest.replace('_', '-')} must be >= {least}, "
                              f"got {value}")
-    for dest in ("omega", "omegas", "omega_eq", "window"):
+    for dest in ("omega", "omegas", "omega_eq", "window", "extent"):
         value = getattr(args, dest, None)
         if value is None:
             continue

@@ -2,17 +2,21 @@
 detection, stability scans, and envelope growth fits.
 
 The stepper is an explicit Dormand-Prince 5(4) pair with the standard
-quartic interpolant for dense output.  Right-hand sides are generated from
-the phase-space Hamiltonians through Poisson brackets and compiled to
-plain Python expressions, so the vector field used by the integrator is
-coefficient-identical to the symbolic one by construction.
+quartic interpolant for dense output (Hairer, Norsett & Wanner, *Solving
+ODEs I*, II.4-II.6).  Right-hand sides are generated from the phase-space
+Hamiltonians through Poisson brackets and compiled to plain Python
+expressions, so the vector field used by the integrator is
+coefficient-identical to the symbolic one by construction.  Each system
+also gets one generated function that makes a whole step attempt on Python
+floats, with the tableau constants and the right-hand-side text inlined in
+every stage; the accept/reject loop around it stays in ``integrate``.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,7 +24,6 @@ from .phasespace import SYSTEMS, PhasePoly, build_hamiltonian, poisson_bracket
 from .polyalg import MultiPoly, to_complex
 
 # Dormand-Prince 5(4) tableau.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
     (),
     (1 / 5,),
@@ -30,7 +33,6 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B = _A[6]
 # fifth-order minus embedded fourth-order weights
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 # dense-output weights for the quartic interpolant
@@ -50,7 +52,11 @@ CLASSICAL_SYSTEMS = tuple(n for n, s in SYSTEMS.items() if s.classical)
 
 @dataclass
 class SystemSpec:
-    """A classical system: Hamiltonian, state layout, bracket-generated RHS."""
+    """A classical system: Hamiltonian, state layout, bracket-generated RHS.
+
+    The compiled right-hand side, energy and step function are generated on
+    first use and cached on the spec.
+    """
 
     name: str
     params: dict
@@ -59,11 +65,21 @@ class SystemSpec:
     rhs_polys: tuple
 
     def rhs_function(self):
+        """The vector field as ``f(*state) -> tuple`` of floats."""
+        return self._rhs
+
+    @cached_property
+    def _rhs(self):
         return _compile_polys(self.rhs_polys, self.state_vars)
 
-    def energy_function(self):
-        f = _compile_polys((self.hamiltonian.poly,), self.state_vars)
-        return lambda y: f(*y)[0]
+    @cached_property
+    def _energy(self):
+        return _compile_polys((self.hamiltonian.poly,), self.state_vars)
+
+    @cached_property
+    def _step(self):
+        return _compile_step(_poly_exprs(self.rhs_polys, self.state_vars),
+                             self.state_vars)
 
 
 def make_system(name: str, **params) -> SystemSpec:
@@ -91,8 +107,12 @@ def hamilton_rhs(spec: SystemSpec, state) -> np.ndarray:
     return np.array(f(*state))
 
 
-def _compile_polys(polys, state_vars):
-    """Compile real polynomials over the state registry to one function."""
+def _poly_exprs(polys, state_vars):
+    """Python expression text of real polynomials over the state registry.
+
+    Powers stay ``x**e``: float ``**`` rounds as numpy's scalar power does,
+    where repeated multiplication would not.
+    """
     exprs = []
     for poly in polys:
         if poly.vars != tuple(state_vars):
@@ -110,11 +130,78 @@ def _compile_polys(polys, state_vars):
                     bits.append(f"{name}**{e}")
             parts.append("*".join(bits))
         exprs.append(" + ".join(parts) if parts else "0.0")
-    src = "def _f({}):\n    return ({},)".format(
-        ", ".join(state_vars), ", ".join(exprs))
+    return exprs
+
+
+def _compile(src: str, name: str):
     ns: dict = {}
-    exec(src, {}, ns)
-    return ns["_f"]
+    exec(src, {"_INF": math.inf, "_sqrt": math.sqrt}, ns)
+    return ns[name]
+
+
+def _compile_polys(polys, state_vars):
+    """Compile real polynomials over the state registry to one function."""
+    src = "def _f({}):\n    return ({},)".format(
+        ", ".join(state_vars), ", ".join(_poly_exprs(polys, state_vars)))
+    return _compile(src, "_f")
+
+
+def _compile_step(rhs_exprs, state_vars):
+    """Generate one whole Dormand-Prince attempt on Python floats.
+
+    ``step(h, y, k0, rtol, atol)`` takes the state and its derivative as
+    tuples and returns ``(err, evals, y1, k6, record)``: the RMS error norm,
+    the RHS evaluations begun, the new state, the derivative there (the next
+    step's first stage) and the step's row of dense-output data, ``h`` and
+    the stages k0, k2, k3, k4, k5 and k6 flattened.  When a stage point is
+    not finite, or a power in a stage overflows, ``err`` is inf and the rest
+    is None.
+
+    The arithmetic is the numpy stage loop's, element by element: every
+    stage sum starts from ``0 +`` in tableau order (which keeps the sign of
+    a zero sum), squares are ``r * r``, and the squares are summed in index
+    order and divided by n, as ``np.mean`` does for short vectors.
+    """
+    if any(v.startswith("_") for v in state_vars):
+        raise ValueError("state variable names may not start with '_'")
+    n = len(state_vars)
+    comps = range(n)
+
+    def combo(weights, c):
+        return "0" + "".join(f" + {w!r} * _k{j}_{c}"
+                             for j, w in enumerate(weights) if w)
+
+    failed = "_INF, _n, None, None, None"
+    lines = ["def _step(_h, _y, _k0, _rtol, _atol):",
+             "    " + "".join(f"_y{c}, " for c in comps) + "= _y",
+             "    " + "".join(f"_k0_{c}, " for c in comps) + "= _k0",
+             "    _n = 0",
+             "    try:"]
+    for i in range(1, 7):
+        lines += [f"        {v} = _y{c} + _h * ({combo(_A[i], c)})"
+                  for c, v in enumerate(state_vars)]
+        # v - v is 0.0 for a finite v and nan for inf or nan
+        finite = " + ".join(f"({v} - {v})" for v in state_vars)
+        lines += [f"        if {finite} != 0.0:",
+                  f"            return {failed}",
+                  f"        _n = {i}"]
+        lines += [f"        _k{i}_{c} = {e}" for c, e in enumerate(rhs_exprs)]
+    lines += ["    except OverflowError:",
+              f"        return {failed}"]
+    # the stage-6 point, still bound to the state names, is the new state
+    for c, v in enumerate(state_vars):
+        lines += [f"    _a = abs(_y{c})",
+                  f"    _b = abs({v})",
+                  f"    _r{c} = _h * ({combo(_E, c)}) / "
+                  f"(_atol + _rtol * (_a if _a > _b else _b))"]
+    squares = " + ".join(f"_r{c} * _r{c}" for c in comps)
+    lines += [f"    _err = _sqrt((0.0 + {squares}) / {n})",
+              "    return _err, 6, ({}), ({}), (_h, {})".format(
+                  "".join(f"{v}, " for v in state_vars),
+                  "".join(f"_k6_{c}, " for c in comps),
+                  "".join(f"_k{i}_{c}, " for i in (0, 2, 3, 4, 5, 6)
+                          for c in comps))]
+    return _compile("\n".join(lines), "_step")
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +213,7 @@ class IntegratorStats:
     steps: int = 0
     rejected: int = 0
     min_step: float = math.inf
+    rhs_evals: int = 0
 
 
 @dataclass
@@ -142,14 +230,20 @@ class CollapseVerdict:
 
 
 class Trajectory:
-    """Dense-output solution samples with per-step energy record."""
+    """Accepted states with per-step energies and dense output.
 
-    def __init__(self, spec, times, states, energies, dense, stats):
+    ``stages`` holds, per accepted step, the step size and the stages
+    k0, k2, k3, k4, k5 and k6 in one flat float64 array; the interpolant
+    coefficients are built from them on first use.
+    """
+
+    def __init__(self, spec, times, states, energies, stages, stats):
         self.spec = spec
-        self.times = np.asarray(times)
-        self.states = np.asarray(states)
-        self.energies = np.asarray(energies)
-        self._dense = dense            # list of (t0, h, rcont[5, dim])
+        self.times = times
+        self.states = states
+        self.energies = energies
+        self._stages = stages
+        self._coeffs = None
         self.stats = stats
 
     @property
@@ -159,39 +253,56 @@ class Trajectory:
     def energy_drift(self) -> float:
         return float(np.max(np.abs(self.energies - self.energies[0])))
 
+    def _coefficients(self):
+        """Step sizes and quartic-interpolant coefficients, (steps, 5, dim)."""
+        if self._coeffs is None:
+            n = self.states.shape[1]
+            rows = self._stages.reshape(-1, 1 + 6 * n)
+            h = rows[:, :1]
+            k0, k2, k3, k4, k5, k6 = (rows[:, 1 + i * n:1 + (i + 1) * n]
+                                      for i in range(6))
+            y = self.states[:-1]
+            dy = self.states[1:] - y
+            bspl = h * k0 - dy
+            rc = np.stack([
+                y, dy, bspl, dy - h * k6 - bspl,
+                h * (_D[0] * k0 + _D[2] * k2 + _D[3] * k3 + _D[4] * k4
+                     + _D[5] * k5 + _D[6] * k6)], axis=1)
+            self._coeffs = (h[:, 0], rc)
+        return self._coeffs
+
+    def _interpolate(self, ts: np.ndarray) -> np.ndarray:
+        """Dense output at the times ``ts``.
+
+        Each time goes to the first step that ends at or after it (the last
+        step for any later time), with theta clamped to [0, 1].
+        """
+        h, rc = self._coefficients()
+        if not len(rc):
+            raise ValueError("trajectory has no dense output")
+        i = np.minimum(np.searchsorted(self.times[1:], ts), len(rc) - 1)
+        theta = np.clip((ts - self.times[i]) / h[i], 0.0, 1.0)[:, None]
+        th1 = 1.0 - theta
+        c = rc[i]
+        return c[:, 0] + theta * (c[:, 1] + th1 * (c[:, 2] + theta * (
+            c[:, 3] + th1 * c[:, 4])))
+
     def sample(self, t: float) -> np.ndarray:
         """Interpolated state at time t inside the integrated span."""
-        if not self._dense:
-            raise ValueError("trajectory has no dense output")
-        lefts = [seg[0] for seg in self._dense]
-        i = bisect.bisect_right(lefts, t) - 1
-        i = min(max(i, 0), len(self._dense) - 1)
-        t0, h, rc = self._dense[i]
-        theta = (t - t0) / h
-        theta = min(max(theta, 0.0), 1.0)
-        th1 = 1.0 - theta
-        return rc[0] + theta * (rc[1] + th1 * (rc[2] + theta * (rc[3] + th1 * rc[4])))
+        t0, t1 = float(self.times[0]), self.t_final
+        if not t0 <= t <= t1:
+            raise ValueError(f"t = {t!r} lies outside the integrated span "
+                             f"[{t0!r}, {t1!r}]")
+        return self._interpolate(np.array([t], dtype=float))[0]
 
     def resample(self, spacing: float):
         """Uniform grid over the integrated span via the dense interpolant."""
         if spacing <= 0:
             raise ValueError("spacing must be positive")
-        t0, t1 = float(self.times[0]), float(self.times[-1])
+        t0, t1 = float(self.times[0]), self.t_final
         n = int(math.floor((t1 - t0) / spacing)) + 1
         ts = t0 + spacing * np.arange(n)
-        out = np.empty((n, self.states.shape[1]))
-        j = 0
-        for seg_i, (s0, h, rc) in enumerate(self._dense):
-            hi = s0 + h
-            while j < n and (ts[j] <= hi or seg_i == len(self._dense) - 1):
-                theta = min(max((ts[j] - s0) / h, 0.0), 1.0)
-                th1 = 1.0 - theta
-                out[j] = rc[0] + theta * (rc[1] + th1 * (rc[2] + theta *
-                                                         (rc[3] + th1 * rc[4])))
-                j += 1
-            if j >= n:
-                break
-        return ts, out
+        return ts, self._interpolate(ts)
 
 
 def integrate(spec: SystemSpec, s0, t_end: float, rtol: float = 1e-10,
@@ -204,28 +315,42 @@ def integrate(spec: SystemSpec, s0, t_end: float, rtol: float = 1e-10,
     ``UNDERFLOW_FACTOR * t_end``; the escape time is then estimated from
     the last decade of amplitude growth.
     """
+    # imported on first use, so that importing the package costs no more
+    from array import array
+
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
     if not (0 < rtol < 1 and 0 < atol < 1):
         raise ValueError("tolerances must lie in (0, 1)")
-    y = np.asarray(s0, dtype=float)
-    if y.shape != (len(spec.state_vars),):
-        raise ValueError(f"initial state must have {len(spec.state_vars)} "
-                         f"components ({spec.state_vars})")
+    y0 = np.asarray(s0, dtype=float)
+    n = len(spec.state_vars)
+    if y0.shape != (n,):
+        raise ValueError(f"initial state must have {n} components "
+                         f"({spec.state_vars})")
+    if not np.all(np.isfinite(y0)):
+        raise ValueError(f"initial state must be finite, got {y0.tolist()}")
     fc = spec.rhs_function()
     f = lambda yy: np.array(fc(*yy))
-    efn = spec.energy_function()
+    step, energy = spec._step, spec._energy
 
-    stats = IntegratorStats()
-    times = [t0]
-    states = [y.copy()]
-    energies = [efn(y)]
-    dense = []
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        k1 = f(y0)
+        h = _initial_step(f, y0, k1, rtol, atol, t_end - t0)
+    y, k0 = tuple(y0.tolist()), tuple(k1.tolist())
+    # flat float64 buffers: a few words per step, no object per value
+    times = array("d", [t0])
+    states = array("d", y)
+    energies = array("d", [_energy_at(energy, y)])
+    stages = array("d")
+
+    def recorded():
+        return np.frombuffer(times), np.frombuffer(states).reshape(-1, n)
+
     h_floor = UNDERFLOW_FACTOR * (t_end - t0)
-
+    steps = rejected = 0
+    rhs_evals = 2                      # k1 and the probe in _initial_step
+    min_step = math.inf
     t = t0
-    k1 = f(y)
-    h = _initial_step(f, y, k1, rtol, atol, t_end - t0)
     verdict = None
     rejected_last = False
 
@@ -234,66 +359,32 @@ def integrate(spec: SystemSpec, s0, t_end: float, rtol: float = 1e-10,
             break                      # integrated to within roundoff of t_end
         h = min(h, t_end - t)
         if h < h_floor:
-            verdict = CollapseVerdict(
-                "collapsed", trigger="stepsize-underflow",
-                escape_time=_escape_estimate(times, states, t))
+            verdict = _collapsed("stepsize-underflow", *recorded())
             break
-        k = [k1] + [None] * 6
-        ok = True
-        for i in range(1, 7):
-            yi = y + h * sum(a * k[j] for j, a in enumerate(_A[i]) if a)
-            if not np.all(np.isfinite(yi)):
-                ok = False
-                break
-            k[i] = f(yi)
-        if ok:
-            y1 = y + h * sum(b * k[j] for j, b in enumerate(_B) if b)
-            ok = bool(np.all(np.isfinite(y1)))
-        if not ok:
-            stats.rejected += 1
-            h *= 0.2
-            rejected_last = True
-            continue
-        err = h * sum(e * k[j] for j, e in enumerate(_E) if e)
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y1))
-        errnorm = float(np.sqrt(np.mean((err / sc) ** 2)))
-        if not math.isfinite(errnorm):
-            errnorm = math.inf
-        if errnorm > 1.0:
-            stats.rejected += 1
-            h *= max(0.2, 0.9 * errnorm ** -0.2)
+        err, evals, y1, k6, record = step(h, y, k0, rtol, atol)
+        rhs_evals += evals
+        if not err <= 1.0:             # a nan norm counts as inf
+            rejected += 1
+            h *= max(0.2, 0.9 * err ** -0.2) if err < math.inf else 0.2
             rejected_last = True
             continue
 
         # accepted
-        k6 = k[6] if k[6] is not None else f(y1)
-        dy = y1 - y
-        bspl = h * k[0] - dy
-        rc = np.array([
-            y,
-            dy,
-            bspl,
-            dy - h * k6 - bspl,
-            h * (_D[0] * k[0] + _D[2] * k[2] + _D[3] * k[3]
-                 + _D[4] * k[4] + _D[5] * k[5] + _D[6] * k6),
-        ])
-        dense.append((t, h, rc))
+        stages.extend(record)
         t += h
-        y = y1
-        k1 = k6
-        stats.steps += 1
-        stats.min_step = min(stats.min_step, h)
+        y, k0 = y1, k6
+        steps += 1
+        if h < min_step:
+            min_step = h
         times.append(t)
-        states.append(y.copy())
-        energies.append(efn(y))
+        states.extend(y)
+        energies.append(_energy_at(energy, y))
 
-        if float(np.max(np.abs(y))) > amplitude_limit:
-            verdict = CollapseVerdict(
-                "collapsed", trigger="amplitude-threshold",
-                escape_time=_escape_estimate(times, states, t))
+        if max(map(abs, y)) > amplitude_limit:
+            verdict = _collapsed("amplitude-threshold", *recorded())
             break
 
-        factor = 5.0 if errnorm == 0.0 else min(5.0, max(0.2, 0.9 * errnorm ** -0.2))
+        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         if rejected_last:
             factor = min(factor, 1.0)
         h *= factor
@@ -301,8 +392,20 @@ def integrate(spec: SystemSpec, s0, t_end: float, rtol: float = 1e-10,
 
     if verdict is None:
         verdict = CollapseVerdict("bounded")
-    traj = Trajectory(spec, times, states, energies, dense, stats)
+    stats = IntegratorStats(steps, rejected, min_step, rhs_evals)
+    traj = Trajectory(spec, *recorded(), np.frombuffer(energies),
+                      np.frombuffer(stages), stats)
     return traj, verdict
+
+
+def _energy_at(energy, y) -> float:
+    """H at an accepted state.  Where a float ``**`` overflows, numpy scalars
+    give the inf or nan the energy record should hold."""
+    try:
+        return energy(*y)[0]
+    except OverflowError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(energy(*np.array(y))[0])
 
 
 def _initial_step(f, y0, f0, rtol, atol, span):
@@ -310,6 +413,11 @@ def _initial_step(f, y0, f0, rtol, atol, span):
     d0 = float(np.sqrt(np.mean((y0 / sc) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / sc) ** 2)))
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    if not h0 > 0:
+        raise ValueError(
+            f"no initial step size: the vector field at the initial state, "
+            f"scaled by atol + rtol*|y0|, has RMS norm {d1!r}; the initial "
+            f"state is too large or atol too small")
     h0 = min(h0, span)
     f1 = f(y0 + h0 * f0)
     d2 = float(np.sqrt(np.mean(((f1 - f0) / sc) ** 2))) / h0
@@ -320,35 +428,35 @@ def _initial_step(f, y0, f0, rtol, atol, span):
     return min(100 * h0, h1, span)
 
 
-def _escape_estimate(times, states, trigger_time):
-    amps = [float(np.max(np.abs(s))) for s in states]
-    return estimate_escape_time(times, amps, trigger_time)
+def _collapsed(trigger: str, times, states) -> CollapseVerdict:
+    """Collapsed verdict at the last recorded state, with the escape-time
+    fit over the recorded amplitudes."""
+    amps = np.max(np.abs(states), axis=1)
+    return CollapseVerdict(
+        "collapsed", trigger=trigger,
+        escape_time=estimate_escape_time(times, amps, float(times[-1])))
 
 
 def detect_collapse(traj: Trajectory, amplitude_limit: float = AMPLITUDE_LIMIT,
                     t_end: float | None = None) -> CollapseVerdict:
-    """Classify a recorded trajectory against the collapse triggers.
+    """Classify a recorded trajectory by the triggers of ``integrate``.
 
-    Mirrors the in-loop detection: a state max-norm crossing of
-    ``amplitude_limit``, or a recorded step below the underflow floor of
-    the requested span (the achieved span when ``t_end`` is omitted).
+    The amplitude trigger fires at the first recorded state whose max-norm
+    exceeds ``amplitude_limit``.  ``integrate`` stops short of ``t_end`` by
+    more than the underflow floor only on a trigger, so a run that does so
+    without an amplitude crossing collapsed by step-size underflow; with
+    ``t_end`` omitted that trigger is not tested.
     """
-    amps = np.max(np.abs(traj.states), axis=1)
-    over = np.flatnonzero(amps > amplitude_limit)
+    over = np.flatnonzero(np.max(np.abs(traj.states), axis=1)
+                          > amplitude_limit)
     if len(over):
-        i = int(over[0])
-        t_trig = float(traj.times[i])
-        est = estimate_escape_time(list(traj.times[:i + 1]),
-                                   list(amps[:i + 1]), t_trig)
-        return CollapseVerdict("collapsed", trigger="amplitude-threshold",
-                               escape_time=est)
-    span = (t_end if t_end is not None else float(traj.times[-1])) \
-        - float(traj.times[0])
-    if traj.stats.min_step < UNDERFLOW_FACTOR * span:
-        t_trig = float(traj.times[-1])
-        est = estimate_escape_time(list(traj.times), list(amps), t_trig)
-        return CollapseVerdict("collapsed", trigger="stepsize-underflow",
-                               escape_time=est)
+        i = int(over[0]) + 1
+        return _collapsed("amplitude-threshold", traj.times[:i],
+                          traj.states[:i])
+    if t_end is not None:
+        t0 = float(traj.times[0])
+        if t_end - traj.t_final > UNDERFLOW_FACTOR * (t_end - t0):
+            return _collapsed("stepsize-underflow", traj.times, traj.states)
     return CollapseVerdict("bounded")
 
 
@@ -507,9 +615,9 @@ CSV_HEADER = "t,v1,v2,v3,v4,H"
 def trajectory_csv_lines(traj: Trajectory):
     """Rows in the export schema, round-trip-exact decimal floats."""
     yield CSV_HEADER
-    for t, state, h in zip(traj.times, traj.states, traj.energies):
-        yield ",".join([repr(float(t))] + [repr(float(v)) for v in state]
-                       + [repr(float(h))])
+    for t, state, h in zip(traj.times.tolist(), traj.states.tolist(),
+                           traj.energies.tolist()):
+        yield ",".join(map(repr, [t, *state, h]))
 
 
 def write_trajectory_csv(traj: Trajectory, path):

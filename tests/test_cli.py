@@ -123,6 +123,11 @@ def test_usage_error_returns_2_without_raising(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
+INITIAL_STEP = ("no initial step size: the vector field at the initial "
+                "state, scaled by atol + rtol*|y0|, has RMS norm inf; the "
+                "initial state is too large or atol too small")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("verify", "eigen", "--nmax", "-1"), "--nmax must be >= 0, got -1"),
     (("verify", "positive", "--nmax", "1", "--eq-nmax", "-2"),
@@ -143,6 +148,23 @@ def test_usage_error_returns_2_without_raising(capsys):
     (("classical", "envelope", "--system", "robert", "--omega", "1",
       "--ic", "1,0,0.3,0", "--window", "0"), "--window must be > 0, got 0.0"),
     (("variational", "check", "--sets", "0"), "--sets must be >= 1, got 0"),
+    (("classical", "scan", "--system", "pu_quartic", "--omega1", "1",
+      "--omega2", "1", "--extent", "0"), "--extent must be > 0, got 0.0"),
+    (("classical", "scan", "--system", "pu_quartic", "--omega1", "1",
+      "--omega2", "1", "--extent", "-3"), "--extent must be > 0, got -3.0"),
+    (("continuum", "residual", "--orders", "10"),
+     "--orders needs at least two distinct orders, got 10"),
+    (("continuum", "residual", "--orders", "10,10"),
+     "--orders needs at least two distinct orders, got 10,10"),
+    (("classical", "run", "--system", "pu", "--omega1", "2", "--omega2", "1",
+      "--ic", "nan,0,0,0", "--t-end", "5"),
+     "initial state must be finite, got [nan, 0.0, 0.0, 0.0]"),
+    (("classical", "run", "--system", "pu_quartic", "--omega1", "1",
+      "--omega2", "1", "--alpha", "0.5", "--ic", "1e120,0,0,0",
+      "--t-end", "5"), INITIAL_STEP),
+    (("classical", "run", "--system", "pu_quartic", "--omega1", "1",
+      "--omega2", "1", "--alpha", "0.5", "--ic", "2,0,0,0", "--t-end", "60",
+      "--rtol", "1e-3", "--atol", "1e-300"), INITIAL_STEP),
 ])
 def test_invalid_inputs_name_the_flag(capsys, argv, message):
     assert main(list(argv)) == 2

@@ -178,6 +178,19 @@ def test_matches_scipy_dop853(name, params, field, ic, t_end):
     assert np.max(np.abs(want - traj.states)) <= 2e-8 * scale
 
 
+def test_sample_and_resample_share_one_interpolant():
+    spec = make_system("pu", omega1=2.0, omega2=1.0)
+    traj, _ = integrate(spec, (1.0, 0.0, 0.0, 0.0), 10.0, rtol=1e-9)
+    ts, ys = traj.resample(0.3)
+    for j in (0, 5, len(ts) - 1):
+        assert np.array_equal(traj.sample(float(ts[j])), ys[j])
+    assert traj.sample(traj.t_final) == pytest.approx(traj.states[-1],
+                                                      abs=1e-12)
+    for t in (-1e-9, traj.t_final + 1e-9, math.nan):
+        with pytest.raises(ValueError, match="outside the integrated span"):
+            traj.sample(t)
+
+
 def test_tolerance_validation():
     spec = make_system("pu", omega1=2.0, omega2=1.0)
     with pytest.raises(ValueError):
@@ -188,6 +201,8 @@ def test_tolerance_validation():
         integrate(spec, np.zeros(4), -1.0)
     with pytest.raises(ValueError):
         integrate(spec, np.zeros(3), 1.0)
+    with pytest.raises(ValueError, match="initial state must be finite"):
+        integrate(spec, (math.inf, 0.0, 0.0, 0.0), 1.0)
 
 
 def test_adaptive_order_scaling():
@@ -212,6 +227,132 @@ def test_energy_drift_on_benign_run():
                               rtol=1e-10, atol=1e-12)
     assert not verdict.collapsed
     assert traj.energy_drift() <= 1e-6 * (1 + abs(float(traj.energies[0])))
+
+
+def _numpy_attempt(f, h, y, k0, rtol, atol):
+    """One attempt of the numpy stage loop that the generated step replaced:
+    (error norm, new state, stages); the norm is inf when a stage point is
+    not finite.  The last stage point is the new state."""
+    from puosc.dynamics import _A, _E
+
+    k = [k0]
+    for row in _A[1:]:
+        yi = y + h * sum(a * kj for a, kj in zip(row, k) if a)
+        if not np.all(np.isfinite(yi)):
+            return math.inf, None, k
+        k.append(f(yi))
+    err = h * sum(e * kj for e, kj in zip(_E, k) if e)
+    sc = atol + rtol * np.maximum(np.abs(y), np.abs(yi))
+    errnorm = float(np.sqrt(np.mean((err / sc) ** 2)))
+    return (errnorm if math.isfinite(errnorm) else math.inf), yi, k
+
+
+def _numpy_reference(spec, s0, t_end, rtol, atol, amplitude_limit):
+    """The numpy integration loop, kept as the reference:
+    (times, states, energies, steps, rejected, trigger)."""
+    from puosc.dynamics import UNDERFLOW_FACTOR, _initial_step
+
+    rhs = spec.rhs_function()
+
+    def f(y):
+        return np.array(rhs(*y))
+
+    def energy(y):
+        return spec._energy(*y)[0]
+
+    y = np.asarray(s0, dtype=float)
+    k1 = f(y)
+    h = _initial_step(f, y, k1, rtol, atol, t_end)
+    t, times, states, energies = 0.0, [0.0], [y], [energy(y)]
+    h_floor = UNDERFLOW_FACTOR * t_end
+    steps = rejected = 0
+    rejected_last, trigger = False, None
+    while t < t_end and t_end - t > h_floor:
+        h = min(h, t_end - t)
+        if h < h_floor:
+            trigger = "stepsize-underflow"
+            break
+        errnorm, y1, k = _numpy_attempt(f, h, y, k1, rtol, atol)
+        if errnorm > 1.0:
+            rejected += 1
+            h *= max(0.2, 0.9 * errnorm ** -0.2)
+            rejected_last = True
+            continue
+        t += h
+        y, k1 = y1, k[6]
+        steps += 1
+        times.append(t)
+        states.append(y)
+        energies.append(energy(y))
+        if float(np.max(np.abs(y))) > amplitude_limit:
+            trigger = "amplitude-threshold"
+            break
+        factor = 5.0 if errnorm == 0.0 else min(5.0, max(0.2, 0.9 * errnorm ** -0.2))
+        h *= min(factor, 1.0) if rejected_last else factor
+        rejected_last = False
+    return (np.array(times), np.array(states), np.array(energies), steps,
+            rejected, trigger)
+
+
+@pytest.mark.parametrize("name, params, ic, t_end, kw", [
+    ("pu", {"omega1": 1.5, "omega2": 1.1}, (0.3, -0.2, 0.5, 0.1), 25.0, {}),
+    ("robert", {"omega": 1.0, "lam": 1.0}, (1.0, 0.0, 0.3, 0.0), 20.0,
+     {"rtol": 1e-9}),
+    # collapses through the amplitude trigger
+    ("pu_quartic", {"omega1": 1.0, "omega2": 1.0, "alpha": 0.5},
+     (2.0, 0.0, 0.0, 0.0), 60.0, {"rtol": 1e-9}),
+    # with no amplitude limit the blowup ends in step-size underflow, after
+    # rejected steps
+    ("pu_quartic", {"omega1": 1.0, "omega2": 1.0, "alpha": 0.5},
+     (2.0, 0.0, 0.0, 0.0), 60.0, {"rtol": 1e-2, "amplitude_limit": math.inf}),
+])
+def test_generated_step_matches_numpy_reference(name, params, ic, t_end, kw):
+    kw = {"rtol": 1e-10, "atol": 1e-12, "amplitude_limit": 1e8, **kw}
+    spec = make_system(name, **params)
+    traj, verdict = integrate(spec, ic, t_end, **kw)
+    times, states, energies, steps, rejected, trigger = \
+        _numpy_reference(spec, ic, t_end, **kw)
+    np.testing.assert_array_equal(traj.times, times)
+    np.testing.assert_array_equal(traj.states, states)
+    np.testing.assert_array_equal(traj.energies, energies)
+    assert (traj.stats.steps, traj.stats.rejected) == (steps, rejected)
+    assert verdict.trigger == trigger
+
+
+def test_overflowing_stages_are_rejected_like_numpy():
+    # numpy turns an overflowing power into inf; the generated step, whose
+    # float ** raises instead, reports an infinite error norm
+    spec = make_system("pu_quartic", omega1=1.0, omega2=1.0, alpha=0.5)
+    rhs = spec.rhs_function()
+    f = lambda y: np.array(rhs(*y))   # noqa: E731
+    for y, k0, evals in [
+            ((1e60, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, -2e180), 4),
+            ((1e200, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, -1e308), 1),
+            ((0.3, 0.1, -0.2, 0.5), tuple(rhs(0.3, 0.1, -0.2, 0.5)), 6)]:
+        with np.errstate(all="ignore"):
+            want, want_y1, k = _numpy_attempt(f, 1.0, np.array(y),
+                                              np.array(k0), 1e-6, 1e-6)
+        err, n, y1, k6, _ = spec._step(1.0, y, k0, 1e-6, 1e-6)
+        assert (err, n) == (want, evals)
+        if n == 6:
+            assert (y1, k6) == (tuple(want_y1), tuple(k[6]))
+
+
+def test_energy_record_keeps_overflow_as_inf():
+    from puosc.dynamics import _energy_at
+
+    spec = make_system("pu_quartic", omega1=1.0, omega2=1.0, alpha=0.5)
+    assert _energy_at(spec._energy, (1e100, 0.0, 0.0, 0.0)) == math.inf
+    assert _energy_at(spec._energy, (2.0, 0.0, 0.0, 0.0)) \
+        == spec._energy(2.0, 0.0, 0.0, 0.0)[0]
+
+
+def test_stats_count_rhs_evaluations():
+    spec = make_system("pu", omega1=2.0, omega2=1.0)
+    traj, _ = integrate(spec, (1.0, 0.0, 0.0, 0.0), 10.0, rtol=1e-9)
+    s = traj.stats
+    # two to choose the first step, six per attempt
+    assert s.rhs_evals == 2 + 6 * (s.steps + s.rejected)
 
 
 def test_integration_is_deterministic():
@@ -278,6 +419,14 @@ def test_post_hoc_classification_matches_in_loop_verdict():
     post = detect_collapse(traj, t_end=30.0)
     assert post.outcome == verdict.outcome == "bounded"
     assert post.trigger is None
+
+    # with no amplitude limit the same blowup stops on step-size underflow
+    traj, verdict = integrate(quartic, (2.0, 0.0, 0.0, 0.0), 60.0, rtol=1e-6,
+                              amplitude_limit=math.inf)
+    post = detect_collapse(traj, amplitude_limit=math.inf, t_end=60.0)
+    assert verdict.trigger == post.trigger == "stepsize-underflow"
+    assert post.escape_time == verdict.escape_time
+    assert detect_collapse(traj, amplitude_limit=math.inf).outcome == "bounded"
 
 
 # ---------------------------------------------------------------------------
