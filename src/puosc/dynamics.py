@@ -158,9 +158,10 @@ def _compile_step(rhs_exprs, state_vars):
     is None.
 
     The arithmetic is the numpy stage loop's, element by element: every
-    stage sum starts from ``0 +`` in tableau order (which keeps the sign of
-    a zero sum), squares are ``r * r``, and the squares are summed in index
-    order and divided by n, as ``np.mean`` does for short vectors.
+    stage sum starts from ``0 +`` in tableau order (so a sum of negative
+    zeros is +0.0, as it was), squares are ``r * r``, and the squares are
+    summed in index order and divided by n, as ``np.mean`` does for short
+    vectors.
     """
     if any(v.startswith("_") for v in state_vars):
         raise ValueError("state variable names may not start with '_'")
@@ -312,8 +313,8 @@ def integrate(spec: SystemSpec, s0, t_end: float, rtol: float = 1e-10,
 
     Terminates early with a collapsed verdict when the state max-norm
     exceeds ``amplitude_limit`` or the step size underflows below
-    ``UNDERFLOW_FACTOR * t_end``; the escape time is then estimated from
-    the last decade of amplitude growth.
+    ``UNDERFLOW_FACTOR * (t_end - t0)``; the escape time is then estimated
+    from the last decade of amplitude growth.
     """
     # imported on first use, so that importing the package costs no more
     from array import array

@@ -123,11 +123,6 @@ def test_usage_error_returns_2_without_raising(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
-INITIAL_STEP = ("no initial step size: the vector field at the initial "
-                "state, scaled by atol + rtol*|y0|, has RMS norm inf; the "
-                "initial state is too large or atol too small")
-
-
 @pytest.mark.parametrize("argv, message", [
     (("verify", "eigen", "--nmax", "-1"), "--nmax must be >= 0, got -1"),
     (("verify", "positive", "--nmax", "1", "--eq-nmax", "-2"),
@@ -156,6 +151,20 @@ INITIAL_STEP = ("no initial step size: the vector field at the initial "
      "--orders needs at least two distinct orders, got 10"),
     (("continuum", "residual", "--orders", "10,10"),
      "--orders needs at least two distinct orders, got 10,10"),
+])
+def test_invalid_inputs_name_the_flag(capsys, argv, message):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+INITIAL_STEP = ("no initial step size: the vector field at the initial "
+                "state, scaled by atol + rtol*|y0|, has RMS norm inf; the "
+                "initial state is too large or atol too small")
+
+
+@pytest.mark.parametrize("argv, message", [
     (("classical", "run", "--system", "pu", "--omega1", "2", "--omega2", "1",
       "--ic", "nan,0,0,0", "--t-end", "5"),
      "initial state must be finite, got [nan, 0.0, 0.0, 0.0]"),
@@ -166,7 +175,7 @@ INITIAL_STEP = ("no initial step size: the vector field at the initial "
       "--omega2", "1", "--alpha", "0.5", "--ic", "2,0,0,0", "--t-end", "60",
       "--rtol", "1e-3", "--atol", "1e-300"), INITIAL_STEP),
 ])
-def test_invalid_inputs_name_the_flag(capsys, argv, message):
+def test_unusable_initial_conditions_name_the_cause(capsys, argv, message):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

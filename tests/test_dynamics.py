@@ -189,6 +189,13 @@ def test_sample_and_resample_share_one_interpolant():
     for t in (-1e-9, traj.t_final + 1e-9, math.nan):
         with pytest.raises(ValueError, match="outside the integrated span"):
             traj.sample(t)
+    # a run that underflows on its first step has no dense output
+    quartic = make_system("pu_quartic", omega1=1.0, omega2=1.0, alpha=0.5)
+    empty, verdict = integrate(quartic, (1e10, 0.0, 0.0, 0.0), 1e-3,
+                               rtol=0.1, atol=1e-6, amplitude_limit=math.inf)
+    assert (empty.stats.steps, verdict.trigger) == (0, "stepsize-underflow")
+    with pytest.raises(ValueError, match="no dense output"):
+        empty.resample(1e-4)
 
 
 def test_tolerance_validation():
@@ -295,7 +302,9 @@ def _numpy_reference(spec, s0, t_end, rtol, atol, amplitude_limit):
 
 
 @pytest.mark.parametrize("name, params, ic, t_end, kw", [
-    ("pu", {"omega1": 1.5, "omega2": 1.1}, (0.3, -0.2, 0.5, 0.1), 25.0, {}),
+    # long enough that squaring the error terms with ** in place of *
+    # moves a state (step 3812 of 4588)
+    ("pu", {"omega1": 1.5, "omega2": 1.1}, (0.3, -0.2, 0.5, 0.1), 100.0, {}),
     ("robert", {"omega": 1.0, "lam": 1.0}, (1.0, 0.0, 0.3, 0.0), 20.0,
      {"rtol": 1e-9}),
     # collapses through the amplitude trigger
