@@ -154,12 +154,12 @@ def _compile_step(rhs_exprs, state_vars):
     the RHS evaluations begun, the new state, the derivative there (the next
     step's first stage) and the step's row of dense-output data, ``h`` and
     the stages k0, k2, k3, k4, k5 and k6 flattened.  When a stage point is
-    not finite, or a power in a stage overflows, ``err`` is inf and the rest
-    is None.
+    not finite, or a power in a stage overflows, ``err`` is inf and the last
+    three are None.
 
     The arithmetic is the numpy stage loop's, element by element: every
     stage sum starts from ``0 +`` in tableau order (so a sum of negative
-    zeros is +0.0, as it was), squares are ``r * r``, and the squares are
+    zeros is +0.0, as in numpy), squares are ``r * r``, and the squares are
     summed in index order and divided by n, as ``np.mean`` does for short
     vectors.
     """
