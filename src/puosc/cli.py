@@ -76,23 +76,6 @@ class Report:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-@dataclass
-class RunConfig:
-    """Resolved subcommand configuration; round-trips through JSON."""
-
-    subcommand: str
-    options: dict
-
-    def canonical_json(self) -> str:
-        return json.dumps({"subcommand": self.subcommand,
-                           "options": self.options}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        data = json.loads(text)
-        return cls(subcommand=data["subcommand"], options=dict(data["options"]))
-
-
 def write_text_atomic(text: str, path: str):
     """Write via a sibling temp file and rename, so readers never see
     partial artifacts."""
@@ -116,13 +99,8 @@ def _emit(report: Report, args) -> int:
     return 0 if report.passed else 1
 
 
-def _num(text, mode: str):
-    """Parse a frequency/parameter in the requested arithmetic mode."""
-    return Fraction(str(text)) if mode == "rational" else float(text)
-
-
 def _floats(csv_text: str):
-    return [float(tok) for tok in str(csv_text).split(",") if tok != ""]
+    return [float(tok) for tok in csv_text.split(",") if tok != ""]
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +110,8 @@ def _floats(csv_text: str):
 def _cmd_verify_eigen(args) -> Report:
     tol = args.tol
     exact = args.mode == "rational"
-    params = SpectrumParams(_num(args.omega1, args.mode),
-                            _num(args.omega2, args.mode))
+    f = Field(exact)
+    params = SpectrumParams(f.param(args.omega1), f.param(args.omega2))
     rep = Report("verify eigen", {
         "omega1": float(params.omega1), "omega2": float(params.omega2),
         "nmax": args.nmax, "mode": args.mode, "tol": tol})
@@ -147,12 +125,12 @@ def _cmd_verify_eigen(args) -> Report:
 def _cmd_verify_positive(args) -> Report:
     tol = args.tol
     exact = args.mode == "rational"
-    params = SpectrumParams(_num(args.omega1, args.mode),
-                            _num(args.omega2, args.mode))
+    f = Field(exact)
+    params = SpectrumParams(f.param(args.omega1), f.param(args.omega2))
+    om = f.param(args.omega_eq)
     rep = Report("verify positive", {
         "omega1": float(params.omega1), "omega2": float(params.omega2),
-        "nmax": args.nmax, "eq_nmax": args.eq_nmax,
-        "omega_eq": float(_num(args.omega_eq, args.mode)),
+        "nmax": args.nmax, "eq_nmax": args.eq_nmax, "omega_eq": float(om),
         "mode": args.mode, "tol": tol})
     results = spectra.eigen_suite("positive", params, args.nmax, exact=exact)
     worst = max(r.residual for r in results)
@@ -160,8 +138,6 @@ def _cmd_verify_positive(args) -> Report:
             worst, tol, worst <= tol)
 
     # equal-frequency limit in the (x, y) operator form
-    om = _num(args.omega_eq, args.mode)
-    f = Field(exact)
     z = MultiPoly.linear({"x": f.sqrt(om), "y": f.sqrt(om) * f.num(om)},
                          spectra.XY, exact)
     o_xy = spectra.build_operator("O_xy", omega1=om, omega2=om, exact=exact)
@@ -205,7 +181,7 @@ def _cmd_verify_identities(args) -> Report:
 
 def _cmd_verify_commutator(args) -> Report:
     exact = args.mode == "rational"
-    omegas = [_num(tok, args.mode) for tok in str(args.omegas).split(",")]
+    omegas = [Field(exact).param(tok) for tok in args.omegas.split(",")]
     rep = Report("verify commutator", {"omegas": [float(o) for o in omegas],
                                        "mode": args.mode, "tol": args.tol})
     for om in omegas:
@@ -216,13 +192,13 @@ def _cmd_verify_commutator(args) -> Report:
     return rep
 
 
-def _parse_pairs(text: str, mode: str):
+def _parse_pairs(text: str, param):
     pairs = []
-    for tok in str(text).split(","):
+    for tok in text.split(","):
         if not tok:
             continue
         a, b = tok.split(":")
-        pairs.append((_num(a, mode), _num(b, mode)))
+        pairs.append((param(a), param(b)))
     return pairs
 
 
@@ -239,7 +215,7 @@ def _random_rational_pairs(count: int, seed: int):
 
 def _cmd_verify_maps(args) -> Report:
     exact = args.mode == "rational"
-    pairs = _parse_pairs(args.pairs, args.mode) if args.pairs else []
+    pairs = _parse_pairs(args.pairs, Field(exact).param) if args.pairs else []
     if args.random_pairs:
         if not exact:
             raise ValueError("random pairs are drawn as rationals; "
@@ -290,7 +266,7 @@ def _cmd_verify_maps(args) -> Report:
 
 def _cmd_verify_descendants(args) -> Report:
     exact = args.mode == "rational"
-    om = _num(args.omega, args.mode)
+    om = Field(exact).param(args.omega)
     rep = Report("verify descendants", {"omega": float(om), "tol": args.tol,
                                         "mode": args.mode})
     worst = 0.0
@@ -314,7 +290,7 @@ def _cmd_verify_descendants(args) -> Report:
 # ---------------------------------------------------------------------------
 
 def _cmd_continuum_residual(args) -> Report:
-    orders = [int(t) for t in str(args.orders).split(",")]
+    orders = [int(t) for t in args.orders.split(",")]
     if len(set(orders)) < 2:
         raise ValueError("--orders needs at least two distinct orders, "
                          f"got {args.orders}")
@@ -352,7 +328,7 @@ def _cmd_jordan_demo(args) -> Report:
     a = complex(args.a)
     b = complex(args.b)
     t = args.t
-    rep = Report("jordan demo", {"a": str(args.a), "b": str(args.b), "t": t,
+    rep = Report("jordan demo", {"a": args.a, "b": args.b, "t": t,
                                  "tol": args.tol})
     val = spectra.jordan_norm_sq(a, b, t, "euclidean")
     closed = abs(a - 1j * b * t) ** 2 + abs(b) ** 2
@@ -548,7 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="puosc",
         description="Verification toolkit for the Pais-Uhlenbeck oscillator")
     parser.add_argument("--config", default=None,
-                        help="JSON file of option defaults; flags override")
+                        help="JSON file of options, read as --key=value "
+                             "flags placed before the command line's own")
     top = parser.add_subparsers(dest="group", required=True)
 
     def add(sub, name, fn, **kwargs):
@@ -691,32 +668,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_config_from_args(args) -> RunConfig:
-    options = {k: v for k, v in sorted(vars(args).items())
-               if k not in ("handler", "group", "what", "config")
-               and v is not None}
-    sub = args.group + (" " + args.what if getattr(args, "what", None) else "")
-    return RunConfig(subcommand=sub, options=options)
+def _config_flags(argv: list) -> list:
+    """Replace each ``--config PATH`` (or ``--config=PATH``) of ``argv`` by
+    the file's entries as ``--key=value`` flags placed right after the two
+    subcommand tokens, so argparse converts, checks and requires them as it
+    does flags, and a flag given later on the command line wins."""
+    rest, flags, tokens = [], [], iter(argv)
+    for tok in tokens:
+        if tok.startswith("--config="):
+            path = tok[len("--config="):]
+        elif tok == "--config":
+            path = next(tokens, None)
+            if path is None:
+                raise ValueError("--config needs a path")
+        else:
+            rest.append(tok)
+            continue
+        with open(path, "r", encoding="utf-8") as fh:
+            entries = json.load(fh)
+        if not isinstance(entries, dict):
+            raise ValueError("expected a JSON object of options")
+        for key, value in entries.items():
+            if not key.replace("-", "_").isidentifier():
+                raise ValueError(f"{key!r} is not an option name")
+            # bool is an int, but true/false is no flag text
+            if isinstance(value, bool) or not isinstance(value,
+                                                         (str, int, float)):
+                raise ValueError(f"{key}: expected a JSON string or number, "
+                                 f"got {json.dumps(value)}")
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return rest[:2] + flags + rest[2:]
 
 
 def main(argv=None) -> int:
+    try:
+        argv = _config_flags(list(sys.argv[1:] if argv is None else argv))
+    except OSError as err:
+        print(f"error: cannot read config: {err}", file=sys.stderr)
+        return 3
+    except ValueError as err:   # includes JSON and UTF-8 decoding errors
+        print(f"error: bad config: {err}", file=sys.stderr)
+        return 2
     parser = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
-
-    # first pass only to locate --config; its values become defaults
-    if "--config" in argv:
-        idx = argv.index("--config")
-        try:
-            with open(argv[idx + 1], "r", encoding="utf-8") as fh:
-                defaults = json.load(fh)
-        except OSError as err:
-            print(f"error: cannot read config: {err}", file=sys.stderr)
-            return 3
-        except (IndexError, json.JSONDecodeError) as err:
-            print(f"error: bad config: {err}", file=sys.stderr)
-            return 2
-        _apply_defaults(parser, defaults)
-
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:   # argparse has printed the usage or the help
@@ -748,26 +741,16 @@ def _check_inputs(args):
         if value is not None and value < least:
             raise ValueError(f"--{dest.replace('_', '-')} must be >= {least}, "
                              f"got {value}")
-    for dest in ("omega", "omegas", "omega_eq", "window", "extent"):
+    param = Field(getattr(args, "mode", None) == "rational").param
+    for dest in ("omega", "omega1", "omega2", "omegas", "omega_eq",
+                 "base_omega", "window", "extent"):
         value = getattr(args, dest, None)
         if value is None:
             continue
         for tok in str(value).split(","):
-            if not _num(tok, getattr(args, "mode", "float")) > 0:
+            if not param(tok) > 0:
                 raise ValueError(f"--{dest.replace('_', '-')} must be > 0, "
                                  f"got {tok}")
-
-
-def _apply_defaults(parser: argparse.ArgumentParser, defaults: dict):
-    """Push config-file values into every (sub)parser that knows the key."""
-    stack = [parser]
-    while stack:
-        p = stack.pop()
-        known = {a.dest for a in p._actions}
-        p.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-        for action in p._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                stack.extend(action.choices.values())
 
 
 if __name__ == "__main__":

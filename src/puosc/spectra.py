@@ -89,6 +89,8 @@ def density_scan(omega1, omega2, target: float, nmax: int):
     """Exhaustive min over n, m <= nmax of |E_nm(ghost) - target|."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
+    omega1, omega2 = Field(False).frequencies(
+        "density_scan", ("omega1", "omega2"), omega1=omega1, omega2=omega2)
     best = None
     arg = (0, 0)
     for n in range(nmax + 1):
@@ -335,7 +337,7 @@ def descendant(order: int, omega, exact: bool = False) -> ExpPolyFn:
         raise ValueError("descendant order must be 0, 1, or 2")
     f = Field(exact)
     num, i_ = f.num, f.i
-    om = f.param(omega)
+    (om,) = f.frequencies("descendant", ("omega",), omega=omega)
     q, x, t = (MultiPoly.var(v, QXT, exact) for v in QXT)
     u = x * x + q * q * num(om ** 2)
     if order == 0:
@@ -406,7 +408,8 @@ def continuum_eigenfunction(l: int, k: float, omega: float,
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    om = float(omega)
+    (om,) = Field(False).frequencies("continuum_eigenfunction", ("omega",),
+                                     omega=omega)
     kk = float(k)
     sq = math.sqrt(om)
     z = MultiPoly.linear({"x": sq, "q": 1j * sq * om}, QX)

@@ -2,8 +2,10 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from puosc.cli import RunConfig, build_parser, main, run_config_from_args
+from puosc.cli import main
 
 REPORT_KEYS = {"version", "subcommand", "inputs", "checks", "pass"}
 CHECK_KEYS = {"name", "anchor", "value", "tolerance", "pass"}
@@ -151,6 +153,12 @@ def test_usage_error_returns_2_without_raising(capsys):
      "--orders needs at least two distinct orders, got 10"),
     (("continuum", "residual", "--orders", "10,10"),
      "--orders needs at least two distinct orders, got 10,10"),
+    (("spectrum", "density", "--omega1", "-1", "--omega2", "1", "--nmax", "5"),
+     "--omega1 must be > 0, got -1.0"),
+    (("spectrum", "density", "--omega1", "0", "--omega2", "0", "--nmax", "5"),
+     "--omega1 must be > 0, got 0.0"),
+    (("gram", "limit", "--base-omega", "-1"),
+     "--base-omega must be > 0, got -1.0"),
 ])
 def test_invalid_inputs_name_the_flag(capsys, argv, message):
     assert main(list(argv)) == 2
@@ -237,16 +245,126 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert code == 3
 
 
-def test_run_config_round_trip():
-    parser = build_parser()
-    args = parser.parse_args(["verify", "eigen", "--nmax", "3",
-                              "--omega1", "2.5"])
-    cfg = run_config_from_args(args)
-    text = cfg.canonical_json()
-    again = RunConfig.from_json(text)
-    assert again.canonical_json() == text
-    assert again.subcommand == "verify eigen"
-    assert again.options["nmax"] == 3
+def write_config(tmp_path, entries) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(entries))
+    return str(path)
+
+
+def test_config_equals_spelling_is_read(tmp_path, capsys):
+    path = write_config(tmp_path, {"nmax": 4, "expmax": 6})
+    code, report = run_cli(capsys, f"--config={path}", "verify", "identities")
+    assert code == 0
+    assert (report["inputs"]["nmax"], report["inputs"]["expmax"]) == (4, 6)
+
+
+CLASSICAL_RUN = {"system": "pu", "omega1": 2, "omega2": 1, "ic": "1,0,-4,0"}
+CLASSICAL_FLAGS = ("--system", "pu", "--omega1", "2", "--omega2", "1",
+                   "--ic", "1,0,-4,0", "--t-end", "5")
+
+
+@pytest.mark.parametrize("entries, argv, flags", [
+    ({"tol": 1}, ("verify", "eigen", "--nmax", "1"), ("--tol", "1")),
+    ({"t": -1e-07}, ("jordan", "demo"), ("--t=-1e-07",)),
+    ({**CLASSICAL_RUN, "t_end": 5}, ("classical", "run"), CLASSICAL_FLAGS),
+    ({**CLASSICAL_RUN, "t-end": "5"}, ("classical", "run"), CLASSICAL_FLAGS),
+], ids=["number-converted", "negative-number", "required-t_end",
+        "required-t-end"])
+def test_config_entries_read_as_flags(tmp_path, capsys, entries, argv, flags):
+    path = write_config(tmp_path, entries)
+    code = main(["--config", path, *argv])
+    from_config = capsys.readouterr()
+    assert code == main([*argv, *flags])
+    assert code == 0
+    assert from_config == capsys.readouterr()
+
+
+@pytest.mark.parametrize("entries, argv, message", [
+    ({"mode": "bogus", "nmax": 1}, ("verify", "eigen"),
+     "argument --mode: invalid choice: 'bogus'"),
+    ({"nmax": 4.5}, ("verify", "identities"),
+     "argument --nmax: invalid int value: '4.5'"),
+    ({"nope": 1}, ("verify", "identities"), "unrecognized arguments: --nope=1"),
+    ({**CLASSICAL_RUN, "t_end": 1, "csv": None}, ("classical", "run"),
+     "error: bad config: csv: expected a JSON string or number, got null"),
+    ({"nmax": True}, ("verify", "identities"),
+     "error: bad config: nmax: expected a JSON string or number, got true"),
+    ({"omegas": [1, 2]}, ("verify", "commutator"),
+     "error: bad config: omegas: expected a JSON string or number, "
+     "got [1, 2]"),
+    ([4], ("verify", "identities"),
+     "error: bad config: expected a JSON object of options"),
+    ({"a=b": "1"}, ("jordan", "demo"),
+     "error: bad config: 'a=b' is not an option name"),
+], ids=["choice", "int", "unknown-key", "null", "bool", "list", "not-object",
+        "not-a-name"])
+def test_bad_config_entries_exit_2(tmp_path, capsys, entries, argv, message):
+    assert main(["--config", write_config(tmp_path, entries), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_config_path_and_syntax_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nmax: 4")
+    assert main(["--config", str(bad), "verify", "identities"]) == 2
+    assert main(["verify", "identities", "--config"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: bad config: Expecting property name enclosed in double quotes:"
+        " line 1 column 2 (char 1)",
+        "error: bad config: --config needs a path"]
+
+
+def parses(convert, text: str) -> bool:
+    try:
+        convert(text)
+    except ValueError:
+        return False
+    return True
+
+
+def words_not_parsed_by(convert):
+    printable_ascii = st.characters(min_codepoint=32, max_codepoint=126)
+    return st.text(alphabet=printable_ascii, max_size=8).filter(
+        lambda text: not parses(convert, text))
+
+
+NON_SCALARS = st.one_of(
+    st.booleans(), st.none(),
+    st.lists(st.integers(0, 9), max_size=2),
+    st.dictionaries(st.sampled_from("ab"), st.integers(0, 9), max_size=1))
+NON_INTEGRAL = st.floats(allow_nan=False).filter(
+    lambda v: not v.is_integer())
+
+# (subcommand, flag, wrong values) over two fast subcommands, covering each
+# kind of flag they have: int, float, choice, complex text and a path
+WRONG_ENTRIES = st.one_of(
+    st.tuples(st.just(("verify", "identities")),
+              st.sampled_from(("nmax", "expmax")),
+              st.one_of(NON_SCALARS, NON_INTEGRAL, words_not_parsed_by(int))),
+    st.tuples(st.just(("verify", "identities")), st.just("mode"),
+              st.one_of(NON_SCALARS, st.integers(),
+                        st.text(max_size=8).filter(lambda v: v != "rational"))),
+    st.tuples(st.just(("jordan", "demo")), st.sampled_from(("t", "tol")),
+              st.one_of(NON_SCALARS, words_not_parsed_by(float))),
+    st.tuples(st.just(("jordan", "demo")), st.sampled_from(("a", "b")),
+              st.one_of(NON_SCALARS, words_not_parsed_by(complex))),
+    st.tuples(st.sampled_from((("verify", "identities"), ("jordan", "demo"))),
+              st.just("out"), NON_SCALARS),
+)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(WRONG_ENTRIES)
+def test_wrong_typed_config_values_are_usage_errors(tmp_path, capsys, case):
+    argv, key, value = case
+    assert main(["--config", write_config(tmp_path, {key: value}), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
 
 
 def test_informational_z_form_entry(capsys):

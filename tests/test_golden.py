@@ -11,6 +11,9 @@ test compares the report bytes, the exit code and the sha256 of every
 names: a ``pu_quartic`` run that collapses, which pins the amplitude trigger,
 the escape-time fit and the CSV of a run cut short.
 
+Each case runs a second time with all its options moved into a JSON file
+passed as ``--config``, and must give the same bytes.
+
 After a deliberate change of report bytes, rewrite the goldens with
 
     PUOSC_GOLDEN_UPDATE=1 python -m pytest tests/test_golden.py
@@ -78,17 +81,35 @@ def test_commands_have_distinct_goldens():
         assert sorted(index) == sorted(name for name, _ in CASES)
 
 
-@pytest.mark.parametrize("name, line", CASES, ids=[n for n, _ in CASES])
-def test_report_matches_golden(name, line, tmp_path, monkeypatch, capsys):
-    argv = shlex.split(line)[1:]
+def run_case(line, argv, tmp_path, monkeypatch, capsys):
+    """Run ``argv`` in ``tmp_path``; return the index entry of ``line``, whose
+    artifacts are those its flags name, and the report bytes."""
     monkeypatch.chdir(tmp_path)
     code = main(argv)
     report = capsys.readouterr().out.encode("utf-8")
+    flags = shlex.split(line)[1:]
     artifacts = {
-        argv[i + 1]: hashlib.sha256((tmp_path / argv[i + 1]).read_bytes())
+        flags[i + 1]: hashlib.sha256((tmp_path / flags[i + 1]).read_bytes())
         .hexdigest()
-        for i, flag in enumerate(argv) if flag in ARTIFACT_FLAGS}
-    entry = {"argv": line, "exit": code, "artifacts": artifacts}
+        for i, flag in enumerate(flags) if flag in ARTIFACT_FLAGS}
+    return {"argv": line, "exit": code, "artifacts": artifacts}, report
+
+
+def as_config(argv: list[str]) -> tuple[list[str], dict]:
+    """The two subcommand tokens of ``argv``, and every option of it as a
+    config entry whose value is the flag's text."""
+    entries = {}
+    tokens = iter(argv[2:])
+    for tok in tokens:
+        flag, eq, value = tok.partition("=")
+        entries[flag[2:]] = value if eq else next(tokens)
+    return argv[:2], entries
+
+
+@pytest.mark.parametrize("name, line", CASES, ids=[n for n, _ in CASES])
+def test_report_matches_golden(name, line, tmp_path, monkeypatch, capsys):
+    entry, report = run_case(line, shlex.split(line)[1:], tmp_path,
+                             monkeypatch, capsys)
     if UPDATE:
         GOLDEN.mkdir(exist_ok=True)
         (GOLDEN / f"{name}.json").write_bytes(report)
@@ -98,6 +119,21 @@ def test_report_matches_golden(name, line, tmp_path, monkeypatch, capsys):
         INDEX.write_text(json.dumps(index, sort_keys=True, indent=2) + "\n",
                          encoding="utf-8")
         return
+    index = json.loads(INDEX.read_text(encoding="utf-8"))
+    assert entry == index[name]
+    assert report == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name, line", CASES, ids=[n for n, _ in CASES])
+def test_report_from_config_matches_golden(name, line, tmp_path, monkeypatch,
+                                           capsys):
+    """Every option moved into a ``--config`` file, required ones included,
+    gives the same report, exit code and artifacts as the flags."""
+    command, entries = as_config(shlex.split(line)[1:])
+    (tmp_path / "options.json").write_text(json.dumps(entries),
+                                           encoding="utf-8")
+    entry, report = run_case(line, ["--config", "options.json", *command],
+                             tmp_path, monkeypatch, capsys)
     index = json.loads(INDEX.read_text(encoding="utf-8"))
     assert entry == index[name]
     assert report == (GOLDEN / f"{name}.json").read_bytes()

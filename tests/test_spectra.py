@@ -345,6 +345,22 @@ def test_continuum_leading_term_l1():
         continuum_eigenfunction(0, 1.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: density_scan(-1.0, 1.0, 0.0, 5),
+    lambda: density_scan(1.0, 0.0, 0.0, 5),
+    lambda: descendant(1, -1.0),
+    lambda: descendant(2, 0.0),
+    lambda: descendant(0, Fraction(-1), exact=True),
+    lambda: continuum_eigenfunction(0, 1.0, -1.0, 5),
+    lambda: continuum_eigenfunction(0, 1.0, 0.0, 5),
+], ids=["density-omega1", "density-omega2", "descendant-negative",
+        "descendant-zero", "descendant-rational", "continuum-negative",
+        "continuum-zero"])
+def test_non_positive_frequencies_are_rejected(build):
+    with pytest.raises(ValueError, match="^frequencies must be positive$"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # identities
 # ---------------------------------------------------------------------------
