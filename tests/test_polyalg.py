@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from puosc.exact import Exact
 from puosc.polyalg import (DiffOp, ExpPolyFn, Field, MultiPoly, QuadExponent,
                            VariableMismatchError, exp_diff_apply, hermite)
+from puosc.spectra import build_operator
 
 Z = ("z",)
 QX = ("q", "x")
@@ -352,3 +353,25 @@ def test_field_frequencies():
         f.frequencies("op", ("omega1", "omega2"), omega1=None, omega2=None)
     with pytest.raises(ValueError, match="frequencies must be positive"):
         f.frequencies("op", ("omega",), omega=0)
+
+
+# ---------------------------------------------------------------------------
+# reprs (term order, factor spelling and signed zeros are part of the output)
+# ---------------------------------------------------------------------------
+
+def test_reprs_are_stable():
+    assert repr(hermite(4, MultiPoly.linear({"q": 2.0, "x": 0.5j}, QX))) == (
+        "MultiPoly((256+0j)*q^4 + 256j*q^3*x + (-96+0j)*q^2*x^2 + -16j*q*x^3"
+        " + (1+0j)*x^4 + (-192-0j)*q^2 + -96j*q*x + (12+0j)*x^2 + (12+0j))")
+    assert repr(hermite(5, MultiPoly.linear({"q": 1, "x": 3}, QX, True))) == (
+        "MultiPoly(Exact(32)*q^5 + Exact(480)*q^4*x + Exact(2880)*q^3*x^2"
+        " + Exact(8640)*q^2*x^3 + Exact(12960)*q*x^4 + Exact(7776)*x^5"
+        " + Exact(-160)*q^3 + Exact(-1440)*q^2*x + Exact(-4320)*q*x^2"
+        " + Exact(-4320)*x^3 + Exact(120)*q + Exact(360)*x)")
+    assert repr(build_operator("H_pu", omega1=3, omega2=1)) == (
+        "DiffOp((5+0j)*x^2 + (-4.5-0j)*q^2 + -1j*x*dq + (-0.5-0j)*dx^2)")
+    assert repr(build_operator("L_charge", omega=2, exact=True)) == (
+        "DiffOp(Exact(3/2)*x^2 + Exact(-6)*q^2 + Exact((0+-1/4j))*x*dq"
+        " + Exact((0+1j))*q*dx + Exact(-1/8)*dx^2 + Exact(1/32)*dq^2)")
+    assert repr(MultiPoly.zero(QX)) == "MultiPoly(0)"
+    assert repr(DiffOp.zero(QX, True)) == "DiffOp(0)"
