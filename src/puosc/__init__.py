@@ -4,8 +4,9 @@ canonical structure, and classical dynamics."""
 __version__ = "0.1.0"
 
 from .exact import Exact
-from .polyalg import (DiffOp, ExpPolyFn, Field, MultiPoly, QuadExponent,
-                      VariableMismatchError, exp_diff_apply, hermite)
+from .polyalg import (DiffOp, ExpPolyFn, Field, MultiPoly,
+                      VariableMismatchError, exp_diff_apply, hermite,
+                      quad_exponent)
 from .phasespace import (SYSTEMS, CanonicalMap, PhasePoly, SingularMapError,
                          build_hamiltonian, build_map, poisson_bracket,
                          transform_equals, transform_interaction,
@@ -26,7 +27,7 @@ from .variational import (AnsatzParams, UnboundednessCertificate,
                           unbounded_search)
 
 __all__ = [
-    "Exact", "Field", "MultiPoly", "QuadExponent", "ExpPolyFn", "DiffOp",
+    "Exact", "Field", "MultiPoly", "quad_exponent", "ExpPolyFn", "DiffOp",
     "VariableMismatchError", "hermite", "exp_diff_apply",
     "SYSTEMS", "PhasePoly", "CanonicalMap", "SingularMapError", "poisson_bracket",
     "build_map", "build_hamiltonian", "transform_equals",

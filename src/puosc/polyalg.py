@@ -7,11 +7,15 @@ Everything downstream is built on three closed classes:
   variable registry, with either ``complex`` coefficients (float mode) or
   :class:`~puosc.exact.Exact` coefficients (rational mode).
 * :class:`ExpPolyFn` -- polynomial times ``exp(Q)`` for a quadratic form
-  ``Q``; closed under differentiation, so applying any operator returns a
-  member of the same class with the same exponent.
+  ``Q`` (a :class:`MultiPoly` of degree-2 terms, see :func:`quad_exponent`);
+  closed under differentiation, so applying any operator returns a member
+  of the same class with the same exponent.
 * :class:`DiffOp` -- polynomial differential operator kept in normal order
   (multiplications to the left of derivatives); composition re-normalizes
   through the product rule, so the zero operator has an empty term map.
+
+``MultiPoly`` and ``DiffOp`` share one sparse term map, ``_TermMap``: its
+constructor, sum, negation, scaling, embedding and repr.
 
 The registry of a value is fixed at construction.  Mixing registries (or
 mixing float and rational coefficients) raises
@@ -113,6 +117,13 @@ def _mono_add(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _unit(name, vars: tuple, e: int = 1) -> tuple:
+    """Exponent tuple of ``name**e`` over the registry ``vars``."""
+    if name not in vars:
+        raise VariableMismatchError(f"{name!r} not in registry {vars}")
+    return tuple(e if v == name else 0 for v in vars)
+
+
 def _positions(vars: tuple, new_vars: tuple) -> list:
     """Index in ``new_vars`` of each of ``vars``; all must be present."""
     for v in vars:
@@ -122,10 +133,40 @@ def _positions(vars: tuple, new_vars: tuple) -> list:
 
 
 class _TermMap:
-    """What polynomials and operators share: a registry ``vars``, a mode
-    flag ``exact`` and a ``terms`` map from keys to nonzero coefficients."""
+    """A sparse term map: a registry ``vars``, a mode flag ``exact`` and a
+    ``terms`` map from keys to nonzero coefficients.
 
-    __slots__ = ()
+    A subclass says how long a key is (``_width``), how it splits into
+    exponent tuples over ``vars`` (``_split``/``_join``, with one repr
+    prefix per tuple in ``_PREFIXES``) and in which order its terms print.
+    """
+
+    __slots__ = ("vars", "terms", "exact")
+
+    def __init__(self, vars, terms=None, exact: bool = False):
+        self.vars = tuple(vars)
+        self.exact = bool(exact)
+        clean = {}
+        summed = []
+        if terms:
+            width = self._width()
+            for key, c in (terms.items() if isinstance(terms, dict) else terms):
+                key = tuple(key)
+                if len(key) != width:
+                    raise VariableMismatchError(
+                        f"term {key} does not match registry {self.vars}")
+                if not coeff_is_zero(c):
+                    if key in clean:
+                        clean[key] = clean[key] + c
+                        summed.append(key)
+                    else:
+                        clean[key] = c
+        _drop_cancelled(clean, summed)
+        self.terms = clean
+
+    @classmethod
+    def zero(cls, vars, exact: bool = False):
+        return cls(vars, {}, exact)
 
     def _check(self, other):
         if self.vars != other.vars:
@@ -150,6 +191,45 @@ class _TermMap:
         return (self.vars == other.vars and self.exact == other.exact
                 and self.terms == other.terms)
 
+    def _plus(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out[key] + c if key in out else c
+        return type(self)(self.vars, out, self.exact)
+
+    def _scaled(self, c):
+        return type(self)(self.vars, {k: v * c for k, v in self.terms.items()},
+                          self.exact)
+
+    def __neg__(self):
+        return type(self)(self.vars, {k: -c for k, c in self.terms.items()},
+                          self.exact)
+
+    def embed(self, new_vars):
+        """Widen to a superset registry (explicit, never implicit)."""
+        new_vars = tuple(new_vars)
+        pos = _positions(self.vars, new_vars)
+        out = {}
+        for key, c in self.terms.items():
+            parts = []
+            for part in self._split(key):
+                wide = [0] * len(new_vars)
+                for p, e in zip(pos, part):
+                    wide[p] = e
+                parts.append(tuple(wide))
+            out[self._join(parts)] = c
+        return type(self)(new_vars, out, self.exact)
+
+    def __repr__(self):
+        bits = []
+        for key in self._repr_order():
+            factors = [f"{d}{v}^{e}" if e > 1 else f"{d}{v}"
+                       for d, part in zip(self._PREFIXES, self._split(key))
+                       for v, e in zip(self.vars, part) if e]
+            bits.append("*".join([repr(self.terms[key])] + factors))
+        return f"{type(self).__name__}({' + '.join(bits) or 0})"
+
 
 # ---------------------------------------------------------------------------
 # MultiPoly
@@ -168,34 +248,24 @@ class MultiPoly(_TermMap):
         Rational mode flag; coefficients are then :class:`Exact`.
     """
 
-    __slots__ = ("vars", "terms", "exact")
+    __slots__ = ()
+    _PREFIXES = ("",)
 
-    def __init__(self, vars, terms=None, exact: bool = False):
-        self.vars = tuple(vars)
-        self.exact = bool(exact)
-        clean = {}
-        summed = []
-        if terms:
-            nv = len(self.vars)
-            for mono, c in terms.items():
-                mono = tuple(mono)
-                if len(mono) != nv:
-                    raise VariableMismatchError(
-                        f"exponent {mono} does not match registry {self.vars}")
-                if not coeff_is_zero(c):
-                    if mono in clean:
-                        clean[mono] = clean[mono] + c
-                        summed.append(mono)
-                    else:
-                        clean[mono] = c
-        _drop_cancelled(clean, summed)
-        self.terms = clean
+    def _width(self):
+        return len(self.vars)
+
+    @staticmethod
+    def _split(mono):
+        return (mono,)
+
+    @staticmethod
+    def _join(parts):
+        return parts[0]
+
+    def _repr_order(self):
+        return sorted(self.terms, key=lambda m: (sum(m), m), reverse=True)
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, vars, exact: bool = False) -> "MultiPoly":
-        return cls(vars, {}, exact)
 
     @classmethod
     def const(cls, value, vars, exact: bool = False) -> "MultiPoly":
@@ -205,22 +275,14 @@ class MultiPoly(_TermMap):
     @classmethod
     def var(cls, name, vars, exact: bool = False) -> "MultiPoly":
         vars = tuple(vars)
-        if name not in vars:
-            raise VariableMismatchError(f"{name!r} not in registry {vars}")
-        mono = tuple(1 if v == name else 0 for v in vars)
-        return cls(vars, {mono: as_coeff(1, exact)}, exact)
+        return cls(vars, {_unit(name, vars): as_coeff(1, exact)}, exact)
 
     @classmethod
     def linear(cls, coeffs: dict, vars, exact: bool = False) -> "MultiPoly":
         """Linear form sum(coeffs[name] * name)."""
         vars = tuple(vars)
-        terms = {}
-        for name, value in coeffs.items():
-            if name not in vars:
-                raise VariableMismatchError(f"{name!r} not in registry {vars}")
-            mono = tuple(1 if v == name else 0 for v in vars)
-            terms[mono] = as_coeff(value, exact)
-        return cls(vars, terms, exact)
+        return cls(vars, {_unit(name, vars): as_coeff(value, exact)
+                          for name, value in coeffs.items()}, exact)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -229,7 +291,11 @@ class MultiPoly(_TermMap):
 
     def coefficient(self, mono: tuple):
         """Coefficient of the given exponent multi-index (0 if absent)."""
-        c = self.terms.get(tuple(mono))
+        mono = tuple(mono)
+        if len(mono) != len(self.vars):
+            raise VariableMismatchError(
+                f"term {mono} does not match registry {self.vars}")
+        c = self.terms.get(mono)
         if c is None:
             return as_coeff(0, self.exact)
         return c
@@ -238,11 +304,7 @@ class MultiPoly(_TermMap):
 
     def __add__(self, other):
         if isinstance(other, MultiPoly):
-            self._check(other)
-            out = dict(self.terms)
-            for mono, c in other.terms.items():
-                out[mono] = out[mono] + c if mono in out else c
-            return MultiPoly(self.vars, out, self.exact)
+            return self._plus(other)
         try:
             return self + MultiPoly.const(other, self.vars, self.exact)
         except TypeError:
@@ -250,14 +312,9 @@ class MultiPoly(_TermMap):
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return MultiPoly(self.vars, {m: -c for m, c in self.terms.items()},
-                         self.exact)
-
     def __sub__(self, other):
-        res = self + (-other if isinstance(other, MultiPoly)
-                      else -as_coeff(other, self.exact))
-        return res
+        return self + (-other if isinstance(other, MultiPoly)
+                       else -as_coeff(other, self.exact))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -276,8 +333,7 @@ class MultiPoly(_TermMap):
             c = as_coeff(other, self.exact)
         except TypeError:
             return NotImplemented
-        return MultiPoly(self.vars, {m: v * c for m, v in self.terms.items()},
-                         self.exact)
+        return self._scaled(c)
 
     __rmul__ = __mul__
 
@@ -350,18 +406,6 @@ class MultiPoly(_TermMap):
             result = result + term
         return result
 
-    def embed(self, new_vars) -> "MultiPoly":
-        """Widen to a superset registry (explicit, never implicit)."""
-        new_vars = tuple(new_vars)
-        pos = _positions(self.vars, new_vars)
-        out = {}
-        for mono, c in self.terms.items():
-            m = [0] * len(new_vars)
-            for p, e in zip(pos, mono):
-                m[p] = e
-            out[tuple(m)] = c
-        return MultiPoly(new_vars, out, self.exact)
-
     def eval(self, point: dict) -> complex:
         """Numeric evaluation (float semantics in both modes)."""
         vals = [complex(point[v]) for v in self.vars]
@@ -381,112 +425,41 @@ class MultiPoly(_TermMap):
                          {m: to_complex(c) for m, c in self.terms.items()},
                          exact=False)
 
-    def __repr__(self):
-        if not self.terms:
-            return "MultiPoly(0)"
-        bits = []
-        for mono in sorted(self.terms, key=lambda m: (sum(m), m), reverse=True):
-            c = self.terms[mono]
-            factors = [f"{v}^{e}" if e > 1 else v
-                       for v, e in zip(self.vars, mono) if e]
-            bits.append("*".join([repr(c)] + factors) if factors else repr(c))
-        return "MultiPoly(" + " + ".join(bits) + ")"
-
 
 # ---------------------------------------------------------------------------
-# QuadExponent and ExpPolyFn
+# Gaussian kernels and ExpPolyFn
 # ---------------------------------------------------------------------------
 
-class QuadExponent:
-    """Quadratic form Q over a subset of the registry; the kernel exp(Q).
-
-    Stored as ``(i, j) -> c`` with ``i <= j`` meaning the monomial
-    ``c * v_i * v_j``.  No linear or constant part, so d/dv exp(Q) is an
-    exact linear form times exp(Q) and the function class is closed under
-    differentiation.
+def quad_exponent(entries: dict, vars, exact: bool = False) -> MultiPoly:
+    """The quadratic form sum(value * a * b) over ``{(a, b): value}``: the
+    exponent Q of a kernel exp(Q), a polynomial whose every term has degree 2.
     """
-
-    __slots__ = ("vars", "coeffs", "exact")
-
-    def __init__(self, vars, coeffs=None, exact: bool = False):
-        self.vars = tuple(vars)
-        self.exact = bool(exact)
-        clean = {}
-        if coeffs:
-            for (i, j), c in coeffs.items():
-                if not 0 <= i <= j < len(self.vars):
-                    raise VariableMismatchError(f"bad index pair {(i, j)}")
-                if not coeff_is_zero(c):
-                    clean[(i, j)] = c
-        self.coeffs = clean
-
-    @classmethod
-    def from_pairs(cls, entries: dict, vars, exact: bool = False) -> "QuadExponent":
-        """Build from ``{(name_a, name_b): value}`` monomial coefficients."""
-        vars = tuple(vars)
-        coeffs = {}
-        for (a, b), value in entries.items():
-            i, j = vars.index(a), vars.index(b)
-            if i > j:
-                i, j = j, i
-            key = (i, j)
-            c = as_coeff(value, exact)
-            coeffs[key] = coeffs[key] + c if key in coeffs else c
-        return cls(vars, coeffs, exact)
-
-    @classmethod
-    def zero(cls, vars, exact: bool = False) -> "QuadExponent":
-        return cls(vars, {}, exact)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def gradient(self, name: str) -> MultiPoly:
-        """dQ/dname as a linear MultiPoly over the registry."""
-        if name not in self.vars:
-            raise VariableMismatchError(f"{name!r} not in registry {self.vars}")
-        k = self.vars.index(name)
-        out = MultiPoly.zero(self.vars, self.exact)
-        for (i, j), c in self.coeffs.items():
-            if i == j == k:
-                out = out + MultiPoly.var(name, self.vars, self.exact) * (c * 2)
-            elif i == k:
-                out = out + MultiPoly.var(self.vars[j], self.vars, self.exact) * c
-            elif j == k:
-                out = out + MultiPoly.var(self.vars[i], self.vars, self.exact) * c
-        return out
-
-    def as_poly(self) -> MultiPoly:
-        out = MultiPoly.zero(self.vars, self.exact)
-        for (i, j), c in self.coeffs.items():
-            mono = [0] * len(self.vars)
-            mono[i] += 1
-            mono[j] += 1
-            out = out + MultiPoly(self.vars, {tuple(mono): c}, self.exact)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadExponent):
-            return NotImplemented
-        return (self.vars == other.vars and self.exact == other.exact
-                and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        return f"QuadExponent({self.as_poly()!r})"
+    vars = tuple(vars)
+    terms = {}
+    for (a, b), value in entries.items():
+        mono = _mono_add(_unit(a, vars), _unit(b, vars))
+        c = as_coeff(value, exact)
+        terms[mono] = terms[mono] + c if mono in terms else c
+    return MultiPoly(vars, terms, exact)
 
 
 class ExpPolyFn:
-    """poly(vars) * exp(Q(vars)); the carrier for every wavefunction."""
+    """poly(vars) * exp(Q(vars)); the carrier for every wavefunction.
+
+    Q has no linear or constant part, so d/dv exp(Q) is an exact linear form
+    times exp(Q) and the function class is closed under differentiation.
+    """
 
     __slots__ = ("poly", "exponent")
 
-    def __init__(self, poly: MultiPoly, exponent: QuadExponent | None = None):
+    def __init__(self, poly: MultiPoly, exponent: MultiPoly | None = None):
         if exponent is None:
-            exponent = QuadExponent.zero(poly.vars, poly.exact)
+            exponent = MultiPoly.zero(poly.vars, poly.exact)
         if exponent.vars != poly.vars or exponent.exact != poly.exact:
             raise VariableMismatchError(
                 "polynomial and exponent must share registry and mode")
+        if any(sum(m) != 2 for m in exponent.terms):
+            raise ValueError(f"exponent {exponent!r} is not a quadratic form")
         self.poly = poly
         self.exponent = exponent
 
@@ -533,59 +506,50 @@ class DiffOp(_TermMap):
     variable, so equality of operators is equality of term maps.
     """
 
-    __slots__ = ("vars", "terms", "exact")
+    __slots__ = ()
+    _PREFIXES = ("", "d")
 
     def __init__(self, vars, terms=None, exact: bool = False):
-        self.vars = tuple(vars)
-        self.exact = bool(exact)
-        clean = {}
-        summed = []
-        nv = len(self.vars)
+        vars = tuple(vars)
         if terms:
-            for (mult, deriv), c in terms.items():
-                mult, deriv = tuple(mult), tuple(deriv)
-                if len(mult) != nv or len(deriv) != nv:
-                    raise VariableMismatchError("term indices do not match registry")
-                if not coeff_is_zero(c):
-                    key = (mult, deriv)
-                    if key in clean:
-                        clean[key] = clean[key] + c
-                        summed.append(key)
-                    else:
-                        clean[key] = c
-        _drop_cancelled(clean, summed)
-        self.terms = clean
+            n = len(vars)
+            terms = [((tuple(m), tuple(d)), c) for (m, d), c in terms.items()]
+            if any(len(m) != n or len(d) != n for (m, d), _ in terms):
+                raise VariableMismatchError(
+                    f"term indices do not match registry {vars}")
+        super().__init__(vars, terms, exact)
+
+    def _width(self):
+        return 2        # (mult, deriv), each checked in __init__
+
+    @staticmethod
+    def _split(key):
+        return key
+
+    _join = staticmethod(tuple)
+
+    def _repr_order(self):
+        return sorted(self.terms, key=lambda k: (sum(k[1]), sum(k[0]), k))
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, vars, exact: bool = False) -> "DiffOp":
-        return cls(vars, {}, exact)
-
-    @classmethod
     def identity(cls, vars, exact: bool = False) -> "DiffOp":
-        vars = tuple(vars)
-        z = (0,) * len(vars)
-        return cls(vars, {(z, z): as_coeff(1, exact)}, exact)
+        return cls.from_poly(MultiPoly.const(1, vars, exact))
 
     @classmethod
     def coordinate(cls, name, vars, exact: bool = False) -> "DiffOp":
         """Multiplication by a coordinate."""
-        vars = tuple(vars)
-        z = (0,) * len(vars)
-        mult = tuple(1 if v == name else 0 for v in vars)
-        if sum(mult) != 1:
-            raise VariableMismatchError(f"{name!r} not in registry {vars}")
-        return cls(vars, {(mult, z): as_coeff(1, exact)}, exact)
+        return cls.from_poly(MultiPoly.var(name, vars, exact))
 
     @classmethod
     def derivative(cls, name, vars, exact: bool = False, order: int = 1) -> "DiffOp":
+        if order < 0:
+            raise ValueError(f"derivative order must be >= 0, got {order}")
         vars = tuple(vars)
         z = (0,) * len(vars)
-        deriv = tuple(order if v == name else 0 for v in vars)
-        if sum(deriv) != order:
-            raise VariableMismatchError(f"{name!r} not in registry {vars}")
-        return cls(vars, {(z, deriv): as_coeff(1, exact)}, exact)
+        return cls(vars, {(z, _unit(name, vars, order)): as_coeff(1, exact)},
+                   exact)
 
     @classmethod
     def momentum(cls, name, vars, exact: bool = False) -> "DiffOp":
@@ -603,17 +567,10 @@ class DiffOp(_TermMap):
 
     def __add__(self, other):
         if isinstance(other, DiffOp):
-            self._check(other)
-            out = dict(self.terms)
-            for key, c in other.terms.items():
-                out[key] = out[key] + c if key in out else c
-            return DiffOp(self.vars, out, self.exact)
+            return self._plus(other)
         return self + DiffOp.identity(self.vars, self.exact) * other
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return DiffOp(self.vars, {k: -c for k, c in self.terms.items()}, self.exact)
 
     def __sub__(self, other):
         return self + (-(other if isinstance(other, DiffOp)
@@ -626,8 +583,7 @@ class DiffOp(_TermMap):
             c = as_coeff(other, self.exact)
         except TypeError:
             return NotImplemented
-        return DiffOp(self.vars, {k: v * c for k, v in self.terms.items()},
-                      self.exact)
+        return self._scaled(c)
 
     def __rmul__(self, other):
         # scalars commute with the whole operator
@@ -666,20 +622,6 @@ class DiffOp(_TermMap):
         """[self, other] = self.other - other.self, normal ordered."""
         return self._compose(other) - other._compose(self)
 
-    def embed(self, new_vars) -> "DiffOp":
-        new_vars = tuple(new_vars)
-        pos = _positions(self.vars, new_vars)
-        out = {}
-        for (mult, deriv), c in self.terms.items():
-            m = [0] * len(new_vars)
-            d = [0] * len(new_vars)
-            for p, e in zip(pos, mult):
-                m[p] = e
-            for p, e in zip(pos, deriv):
-                d[p] = e
-            out[(tuple(m), tuple(d))] = c
-        return DiffOp(new_vars, out, self.exact)
-
     # -- action -----------------------------------------------------------
 
     def apply(self, f):
@@ -698,8 +640,8 @@ class DiffOp(_TermMap):
             raise TypeError("operator and function must share arithmetic mode")
         vars = f.poly.vars
         grads = {}
-        if not f.exponent.is_zero:
-            grads = {v: f.exponent.gradient(v) for v in vars}
+        if f.exponent.terms:
+            grads = {v: f.exponent.diff(v) for v in vars}
         result = MultiPoly.zero(vars, op.exact)
         for (mult, deriv), c in op.terms.items():
             g = f.poly
@@ -712,22 +654,6 @@ class DiffOp(_TermMap):
                                   op.exact)
             result = result + g * c
         return result if bare else ExpPolyFn(result, f.exponent)
-
-    # -- inspection ---------------------------------------------------------
-
-    def __repr__(self):
-        if not self.terms:
-            return "DiffOp(0)"
-        bits = []
-        for (mult, deriv) in sorted(self.terms,
-                                    key=lambda k: (sum(k[1]), sum(k[0]), k)):
-            c = self.terms[(mult, deriv)]
-            factors = [f"{v}^{e}" if e > 1 else v
-                       for v, e in zip(self.vars, mult) if e]
-            factors += [f"d{v}^{e}" if e > 1 else f"d{v}"
-                        for v, e in zip(self.vars, deriv) if e]
-            bits.append("*".join([repr(c)] + factors) if factors else repr(c))
-        return "DiffOp(" + " + ".join(bits) + ")"
 
 
 # ---------------------------------------------------------------------------

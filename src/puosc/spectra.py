@@ -19,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exact import Exact
-from .polyalg import (DiffOp, ExpPolyFn, Field, MultiPoly, QuadExponent,
-                      exp_diff_apply, hermite)
+from .polyalg import (DiffOp, ExpPolyFn, Field, MultiPoly, exp_diff_apply,
+                      hermite, quad_exponent)
 
 QX = ("q", "x")
 QXT = ("q", "x", "t")
@@ -238,7 +238,7 @@ class _Family:
             self.lam = i_ * num(om1 - om2) * sqrt(1 / (om1 * om2)) \
                 * num(f.frac(1, 4))
             delta, half = om1 - om2, f.frac(1, 2)
-            self.kernel = QuadExponent.from_pairs({
+            self.kernel = quad_exponent({
                 ("q", "x"): -i_ * num(om1 * om2),
                 ("x", "x"): num(-delta * half),
                 ("q", "q"): num(-delta * om1 * om2 * half),
@@ -313,8 +313,7 @@ def degenerate_level(level: int, omega, exact: bool = False) -> EigenResult:
     (om,) = f.frequencies("degenerate_level", ("omega",), omega=omega)
     arg_plus, arg_minus = _ghost_arguments(om, om, f)
     poly = hermite(abs(level), arg_plus if level >= 0 else arg_minus)
-    exponent = QuadExponent.from_pairs({("q", "x"): -f.i * f.num(om ** 2)},
-                                       QX, exact)
+    exponent = quad_exponent({("q", "x"): -f.i * f.num(om ** 2)}, QX, exact)
     fn = ExpPolyFn(poly, exponent)
     e = om * level
     h = build_operator("H_pu", omega1=om, omega2=om, exact=exact)
@@ -348,8 +347,7 @@ def descendant(order: int, omega, exact: bool = False) -> ExpPolyFn:
         poly = t * t - (t * u) * (i_ * 2) - (u * u) * num(f.frac(1, 2)) \
             - (q * x) * i_ + MultiPoly.const(num(f.frac(1, 8) / om ** 2),
                                              QXT, exact)
-    exponent = QuadExponent.from_pairs({("q", "x"): -i_ * num(om ** 2)},
-                                       QXT, exact)
+    exponent = quad_exponent({("q", "x"): -i_ * num(om ** 2)}, QXT, exact)
     return ExpPolyFn(poly, exponent)
 
 
@@ -429,7 +427,7 @@ def continuum_eigenfunction(l: int, k: float, omega: float,
                                         * math.factorial(m)
                                         * math.factorial(l + m))
         total = total + hz[l + m] * hw[m] * c
-    exponent = QuadExponent.from_pairs({("q", "x"): -1j * om ** 2}, QX)
+    exponent = quad_exponent({("q", "x"): -1j * om ** 2}, QX)
     fn = ExpPolyFn(total, exponent)
     e = sign_l * l * om + kk ** 2 / 4.0
     h = build_operator("H_pu", omega1=om, omega2=om)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyalg import ExpPolyFn, MultiPoly, QuadExponent
+from .polyalg import ExpPolyFn, MultiPoly, quad_exponent
 from .spectra import QX, build_operator
 
 
@@ -56,7 +56,7 @@ def energy_quadrature(p: AnsatzParams, level: int = 24) -> float:
     """
     if level < 5:
         raise ValueError("quadrature level must be at least 5")
-    exponent = QuadExponent.from_pairs({
+    exponent = quad_exponent({
         ("q", "q"): -0.5 * p.A,
         ("q", "x"): -1j * p.B,
         ("x", "x"): -0.5 * p.C,

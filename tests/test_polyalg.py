@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puosc.exact import Exact
-from puosc.polyalg import (DiffOp, ExpPolyFn, Field, MultiPoly, QuadExponent,
-                           VariableMismatchError, exp_diff_apply, hermite)
+from puosc.polyalg import (DiffOp, ExpPolyFn, Field, MultiPoly,
+                           VariableMismatchError, exp_diff_apply, hermite,
+                           quad_exponent)
 from puosc.spectra import build_operator
 
 Z = ("z",)
@@ -57,12 +58,20 @@ def test_hermite_of_linear_form_degree():
 
 def test_exp_fn_equality_needs_identical_exponent():
     poly = MultiPoly.var("q", QX)
-    gauss = QuadExponent.from_pairs({("q", "q"): -0.5}, QX)
-    wide = QuadExponent.from_pairs({("q", "q"): -0.25}, QX)
+    gauss = quad_exponent({("q", "q"): -0.5}, QX)
+    wide = quad_exponent({("q", "q"): -0.25}, QX)
     assert ExpPolyFn(poly, gauss) != ExpPolyFn(poly, wide)
     assert ExpPolyFn(poly, gauss) == ExpPolyFn(poly, gauss)
     with pytest.raises(VariableMismatchError):
         _ = ExpPolyFn(poly, gauss) + ExpPolyFn(poly, wide)
+
+
+@pytest.mark.parametrize("exponent", [
+    MultiPoly.var("q", QX), MultiPoly.const(-0.5, QX),
+    quad_exponent({("q", "q"): -0.5}, QX) + MultiPoly.var("x", QX)])
+def test_exponent_must_be_a_quadratic_form(exponent):
+    with pytest.raises(ValueError, match="not a quadratic form"):
+        ExpPolyFn(MultiPoly.const(1, QX), exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +133,11 @@ def test_registry_discipline():
     assert widened.eval({"z": 2.0, "w": 9.0}) == pytest.approx(2.0)
     with pytest.raises(VariableMismatchError):
         other.embed(("w",))
+    with pytest.raises(VariableMismatchError):
+        p.coefficient((1,))
+    with pytest.raises(VariableMismatchError,
+                       match=r"'zz' not in registry \('q', 'x'\)"):
+        quad_exponent({("zz", "q"): 1.0}, QX)
 
 
 def test_subs_matches_pointwise_oracle():
@@ -170,7 +184,7 @@ def test_gaussian_derivative():
     # d/dx exp(-x^2/2) = -x exp(-x^2/2)
     xx = ("x",)
     gauss = ExpPolyFn(MultiPoly.const(1, xx),
-                      QuadExponent.from_pairs({("x", "x"): -0.5}, xx))
+                      quad_exponent({("x", "x"): -0.5}, xx))
     out = DiffOp.derivative("x", xx).apply(gauss)
     assert out.exponent == gauss.exponent
     assert out.poly == -MultiPoly.var("x", xx)
@@ -200,7 +214,7 @@ def test_canonical_pair_identity():
     for _ in range(5):
         poly = MultiPoly(QX, {(int(rng.integers(0, 3)), int(rng.integers(0, 3))):
                               complex(*rng.normal(size=2)) for _ in range(3)})
-        fn = ExpPolyFn(poly, QuadExponent.from_pairs(
+        fn = ExpPolyFn(poly, quad_exponent(
             {("q", "q"): -0.5, ("q", "x"): 0.25j}, QX))
         out = op.apply(fn)
         assert (out.poly - poly * 1j).max_norm() < 1e-14
@@ -236,8 +250,8 @@ def _random_diffop(rng, vars, max_order=3):
 
 def test_composition_factors_through_application():
     rng = np.random.default_rng(17)
-    exponent = QuadExponent.from_pairs({("q", "q"): -1.0, ("q", "x"): -0.5j,
-                                        ("x", "x"): 0.25}, QX)
+    exponent = quad_exponent({("q", "q"): -1.0, ("q", "x"): -0.5j,
+                              ("x", "x"): 0.25}, QX)
     for _ in range(10):
         a = _random_diffop(rng, QX)
         b = _random_diffop(rng, QX)
@@ -270,11 +284,15 @@ def test_operator_embedding_and_mismatch():
     bad = DiffOp.derivative("w", ("w",))
     with pytest.raises(VariableMismatchError):
         bad.apply(fn)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        DiffOp.derivative("q", QX, order=-1)
+    with pytest.raises(VariableMismatchError):
+        DiffOp.derivative("zz", QX, order=0)
 
 
 def test_class_closure_preserves_exponent():
     rng = np.random.default_rng(23)
-    exponent = QuadExponent.from_pairs({("q", "x"): -2j}, QX)
+    exponent = quad_exponent({("q", "x"): -2j}, QX)
     fn = ExpPolyFn(MultiPoly.var("q", QX) ** 2, exponent)
     for _ in range(10):
         out = _random_diffop(rng, QX).apply(fn)

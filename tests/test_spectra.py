@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from puosc.exact import Exact
-from puosc.polyalg import DiffOp, Field, MultiPoly, QuadExponent, hermite
+from puosc.polyalg import DiffOp, Field, MultiPoly, hermite, quad_exponent
 from puosc.spectra import (QX, XY, EqualFrequencyError, SpectrumParams,
                            build_operator, commutator_check,
                            continuum_eigenfunction, degenerate_level,
@@ -137,7 +137,7 @@ def test_ghost_ground_state_structure():
     assert r.residual <= 1e-14
     fn = r.wavefunction
     assert fn.poly == MultiPoly.const(1, QX)
-    want = QuadExponent.from_pairs(
+    want = quad_exponent(
         {("q", "x"): -3j, ("x", "x"): -1.0, ("q", "q"): -3.0}, QX)
     assert fn.exponent == want
 
@@ -232,7 +232,7 @@ def test_degenerate_levels():
     r0 = degenerate_level(0, 1.0)
     assert r0.energy == 0.0 and r0.residual == 0.0
     assert r0.wavefunction.poly == MultiPoly.const(1, QX)
-    assert r0.wavefunction.exponent == QuadExponent.from_pairs(
+    assert r0.wavefunction.exponent == quad_exponent(
         {("q", "x"): -1j}, QX)
 
     r1 = degenerate_level(1, 1.0)
