@@ -15,6 +15,7 @@ error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -327,6 +328,9 @@ def _cmd_spectrum_density(args) -> Report:
 def _cmd_jordan_demo(args) -> Report:
     a = complex(args.a)
     b = complex(args.b)
+    for flag, z in (("--a", a), ("--b", b)):
+        if not cmath.isfinite(z):
+            raise ValueError(f"{flag} must be finite, got {z}")
     t = args.t
     rep = Report("jordan demo", {"a": args.a, "b": args.b, "t": t,
                                  "tol": args.tol})
@@ -730,25 +734,36 @@ def main(argv=None) -> int:
         return 3
 
 
-_COUNT_MINIMA = {"nmax": 0, "eq_nmax": 0, "expmax": 0, "cells": 1, "sets": 1}
+_MINIMA = {"nmax": 0, "eq_nmax": 0, "expmax": 0, "cells": 1, "sets": 1,
+           "tol": 0, "ratio_tol": 0, "expect_tol": 0, "tol_energy": 0}
+_POSITIVE = ("omega", "omega1", "omega2", "omegas", "omega_eq", "base_omega",
+             "window", "extent", "t_end", "t_probe")
 
 
 def _check_inputs(args):
-    """Reject counts below their minimum, and frequencies, windows and the
-    scan extent not above 0, naming the flag."""
-    for dest, least in _COUNT_MINIMA.items():
+    """Reject non-finite numbers, counts and tolerances below their minimum,
+    and frequencies, times, windows and the scan extent not above 0, naming
+    the flag."""
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"--{dest.replace('_', '-')} must be finite, "
+                             f"got {value}")
+    for dest, least in _MINIMA.items():
         value = getattr(args, dest, None)
         if value is not None and value < least:
             raise ValueError(f"--{dest.replace('_', '-')} must be >= {least}, "
                              f"got {value}")
     param = Field(getattr(args, "mode", None) == "rational").param
-    for dest in ("omega", "omega1", "omega2", "omegas", "omega_eq",
-                 "base_omega", "window", "extent"):
+    for dest in _POSITIVE:
         value = getattr(args, dest, None)
         if value is None:
             continue
         for tok in str(value).split(","):
-            if not param(tok) > 0:
+            x = param(tok)
+            if not x < math.inf:
+                raise ValueError(f"--{dest.replace('_', '-')} must be finite, "
+                                 f"got {tok}")
+            if not x > 0:
                 raise ValueError(f"--{dest.replace('_', '-')} must be > 0, "
                                  f"got {tok}")
 

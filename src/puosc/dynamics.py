@@ -14,6 +14,7 @@ every stage; the accept/reject loop around it stays in ``integrate``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -120,6 +121,9 @@ def _poly_exprs(polys, state_vars):
         parts = []
         for mono, c in poly.terms.items():
             cc = to_complex(c)
+            if not cmath.isfinite(cc):
+                raise ValueError(
+                    f"classical polynomial has a non-finite coefficient {cc}")
             if abs(cc.imag) > 1e-12 * max(1.0, abs(cc)):
                 raise ValueError("classical polynomial has a complex coefficient")
             bits = [repr(cc.real)]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -159,6 +160,31 @@ def test_usage_error_returns_2_without_raising(capsys):
      "--omega1 must be > 0, got 0.0"),
     (("gram", "limit", "--base-omega", "-1"),
      "--base-omega must be > 0, got -1.0"),
+    (("continuum", "residual", "--k", "nan"), "--k must be finite, got nan"),
+    (("variational", "check", "--alpha", "nan"),
+     "--alpha must be finite, got nan"),
+    (("classical", "run", "--system", "pu", "--omega1", "2", "--omega2", "1",
+      "--ic", "1,0,0,0", "--t-end", "inf"), "--t-end must be finite, got inf"),
+    (("spectrum", "density", "--target", "nan"),
+     "--target must be finite, got nan"),
+    (("classical", "run", "--system", "pu_quartic", "--omega1", "1",
+      "--omega2", "1", "--alpha", "nan", "--ic", "1,0,0,0", "--t-end", "5"),
+     "--alpha must be finite, got nan"),
+    (("verify", "commutator", "--mode", "float", "--omegas", "1,inf"),
+     "--omegas must be finite, got inf"),
+    (("verify", "eigen", "--tol", "-1"), "--tol must be >= 0, got -1.0"),
+    (("verify", "maps", "--tol", "-1"), "--tol must be >= 0, got -1.0"),
+    (("continuum", "residual", "--ratio-tol", "-1"),
+     "--ratio-tol must be >= 0, got -1.0"),
+    (("spectrum", "density", "--expect", "0.1", "--expect-tol", "-1"),
+     "--expect-tol must be >= 0, got -1.0"),
+    (("classical", "run", "--system", "pu", "--omega1", "2", "--omega2", "1",
+      "--ic", "1,0,0,0", "--t-end", "5", "--tol-energy", "-1"),
+     "--tol-energy must be >= 0, got -1.0"),
+    (("classical", "run", "--system", "pu", "--omega1", "2", "--omega2", "1",
+      "--ic", "1,0,0,0", "--t-end", "0"), "--t-end must be > 0, got 0.0"),
+    (("classical", "scan", "--system", "pu_quartic", "--omega1", "1",
+      "--omega2", "1", "--t-probe", "0"), "--t-probe must be > 0, got 0.0"),
 ])
 def test_invalid_inputs_name_the_flag(capsys, argv, message):
     assert main(list(argv)) == 2
@@ -365,6 +391,66 @@ def test_wrong_typed_config_values_are_usage_errors(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+
+
+def readme_or_bad(*readme):
+    """The README's values of a float flag, their negatives, nan and +-inf."""
+    return st.sampled_from([*readme, *(-v for v in readme if v), -1.0,
+                            math.nan, math.inf, -math.inf])
+
+
+COMPLEX_TEXT = st.sampled_from(("0", "1", "-1", "1j", "nan", "inf", "-inf"))
+
+# (subcommand, flags always given, flags given or left out), with counts kept
+# small: --nmax <= 20, orders <= 8, --sets <= 3
+CONTRACT_COMMANDS = [
+    (("jordan", "demo"), {},
+     {"a": COMPLEX_TEXT, "b": COMPLEX_TEXT, "t": readme_or_bad(2.0),
+      "tol": readme_or_bad(1e-14)}),
+    (("spectrum", "density"), {"nmax": st.integers(0, 20)},
+     {"omega1": readme_or_bad(1.4142135623730951), "omega2": readme_or_bad(1.0),
+      "target": readme_or_bad(0.0), "expect": readme_or_bad(0.5),
+      "expect-tol": readme_or_bad(1e-4)}),
+    (("continuum", "residual"),
+     {"orders": st.sampled_from(("2,4", "4,8", "2,5,8", "8,8"))},
+     {"l": st.integers(-2, 2), "k": readme_or_bad(1.0),
+      "omega": readme_or_bad(1.0), "ratio-tol": readme_or_bad(1e-6)}),
+    (("variational", "check"), {"sets": st.integers(1, 3)},
+     {"alpha": readme_or_bad(1.0), "beta": readme_or_bad(1.0),
+      "gamma": readme_or_bad(1.0), "omega": readme_or_bad(1.0),
+      "tol": readme_or_bad(1e-6)}),
+]
+
+
+@st.composite
+def contract_argv(draw):
+    argv, always, optional = draw(st.sampled_from(CONTRACT_COMMANDS))
+    argv = list(argv)
+    for flag, values in always.items():
+        argv.append(f"--{flag}={draw(values)}")
+    for flag, values in optional.items():
+        if draw(st.booleans()):
+            argv.append(f"--{flag}={draw(values)}")
+    return argv
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(contract_argv())
+def test_cli_exit_code_contract(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in captured.err
+    if code in (0, 1):
+        report = json.loads(captured.out, parse_constant=reject_constant)
+        assert (code == 1) == any(not c["pass"] for c in report["checks"])
+    else:
+        assert captured.out == ""
 
 
 def test_informational_z_form_entry(capsys):

@@ -118,6 +118,13 @@ def test_rhs_state_layouts():
         hamilton_rhs(make_system("pu", omega1=2, omega2=1), (1.0, 2.0))
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_non_finite_coefficients_are_rejected(alpha):
+    spec = make_system("pu_quartic", omega1=1.0, omega2=1.0, alpha=alpha)
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        integrate(spec, [1.0, 0.0, 0.0, 0.0], 5.0)
+
+
 # ---------------------------------------------------------------------------
 # integration accuracy
 # ---------------------------------------------------------------------------
