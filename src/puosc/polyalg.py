@@ -136,9 +136,11 @@ class _TermMap:
     """A sparse term map: a registry ``vars``, a mode flag ``exact`` and a
     ``terms`` map from keys to nonzero coefficients.
 
-    A subclass says how long a key is (``_width``), how it splits into
-    exponent tuples over ``vars`` (``_split``/``_join``, with one repr
-    prefix per tuple in ``_PREFIXES``) and in which order its terms print.
+    The constructor takes a dict or a list of ``(key, coefficient)`` pairs;
+    keys that coincide are summed.  A subclass says how long a key is
+    (``_width``), how it splits into exponent tuples over ``vars``
+    (``_split``/``_join``, with one repr prefix per tuple in ``_PREFIXES``)
+    and in which order its terms print (``_repr_order``).
     """
 
     __slots__ = ("vars", "terms", "exact")
@@ -511,13 +513,16 @@ class DiffOp(_TermMap):
 
     def __init__(self, vars, terms=None, exact: bool = False):
         vars = tuple(vars)
+        pairs = []
         if terms:
             n = len(vars)
-            terms = [((tuple(m), tuple(d)), c) for (m, d), c in terms.items()]
-            if any(len(m) != n or len(d) != n for (m, d), _ in terms):
-                raise VariableMismatchError(
-                    f"term indices do not match registry {vars}")
-        super().__init__(vars, terms, exact)
+            for (m, d), c in terms.items():
+                m, d = tuple(m), tuple(d)
+                if len(m) != n or len(d) != n:
+                    raise VariableMismatchError(
+                        f"term indices do not match registry {vars}")
+                pairs.append(((m, d), c))
+        super().__init__(vars, pairs, exact)
 
     def _width(self):
         return 2        # (mult, deriv), each checked in __init__
