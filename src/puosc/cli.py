@@ -100,8 +100,21 @@ def _emit(report: Report, args) -> int:
     return 0 if report.passed else 1
 
 
-def _floats(csv_text: str):
-    return [float(tok) for tok in csv_text.split(",") if tok != ""]
+_KINDS = {int: "an integer", float: "a real number",
+          Fraction: "a rational number", complex: "a complex number"}
+
+
+def _number(dest: str, tok: str, kind=float):
+    """``tok`` read as a ``kind``, or a usage error naming the flag."""
+    try:
+        return kind(tok)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--{dest.replace('_', '-')} must be {_KINDS[kind]}, "
+                         f"got {tok!r}") from None
+
+
+def _floats(dest: str, csv_text: str):
+    return [_number(dest, tok) for tok in csv_text.split(",") if tok != ""]
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +211,13 @@ def _parse_pairs(text: str, param):
     for tok in text.split(","):
         if not tok:
             continue
-        a, b = tok.split(":")
-        pairs.append((param(a), param(b)))
+        halves = tok.split(":")
+        if len(halves) != 2:
+            raise ValueError(f"--pairs must be omega1:omega2 pairs, got {tok!r}")
+        pair = tuple(_number("pairs", x, param) for x in halves)
+        if not all(0 < x < math.inf for x in pair):
+            raise ValueError(f"--pairs must be > 0 and finite, got {tok}")
+        pairs.append(pair)
     return pairs
 
 
@@ -224,9 +242,8 @@ def _cmd_verify_maps(args) -> Report:
         pairs += _random_rational_pairs(args.random_pairs, args.seed)
     if not pairs:
         raise ValueError("no frequency pairs given")
-    tol = args.tol
-    if not exact and tol == 0.0:
-        tol = 1e-12       # float arithmetic cannot promise exact zeros
+    # float arithmetic cannot promise exact zeros
+    tol = args.tol if args.tol is not None else 0.0 if exact else 1e-12
     rep = Report("verify maps", {
         "pairs": [[float(a), float(b)] for a, b in pairs],
         "mode": args.mode, "tol": tol,
@@ -291,7 +308,7 @@ def _cmd_verify_descendants(args) -> Report:
 # ---------------------------------------------------------------------------
 
 def _cmd_continuum_residual(args) -> Report:
-    orders = [int(t) for t in args.orders.split(",")]
+    orders = [_number("orders", t, int) for t in args.orders.split(",")]
     if len(set(orders)) < 2:
         raise ValueError("--orders needs at least two distinct orders, "
                          f"got {args.orders}")
@@ -326,28 +343,35 @@ def _cmd_spectrum_density(args) -> Report:
 
 
 def _cmd_jordan_demo(args) -> Report:
-    a = complex(args.a)
-    b = complex(args.b)
+    a = _number("a", args.a, complex)
+    b = _number("b", args.b, complex)
     for flag, z in (("--a", a), ("--b", b)):
         if not cmath.isfinite(z):
             raise ValueError(f"{flag} must be finite, got {z}")
     t = args.t
     rep = Report("jordan demo", {"a": args.a, "b": args.b, "t": t,
                                  "tol": args.tol})
-    val = spectra.jordan_norm_sq(a, b, t, "euclidean")
-    closed = abs(a - 1j * b * t) ** 2 + abs(b) ** 2
-    dev = abs(val - closed)
+    try:
+        closed = abs(a - 1j * b * t) ** 2 + abs(b) ** 2
+        dev = abs(spectra.jordan_norm_sq(a, b, t, "euclidean") - closed)
+        devs = [abs(spectra.jordan_norm_sq(a, b, tt, "degenerate")
+                    - abs(b) ** 2) for tt in np.linspace(0.0, max(t, 1.0), 11)]
+    except OverflowError:
+        closed = math.inf
+    if not math.isfinite(closed):
+        raise ValueError("--a, --b and --t overflow a float: "
+                         "|a - i*b*t|^2 + |b|^2 is out of range")
     rep.add("euclidean-norm-growth", "jordan-block-norm-growth",
             dev, args.tol, dev <= args.tol)
-    devs = [abs(spectra.jordan_norm_sq(a, b, tt, "degenerate") - abs(b) ** 2)
-            for tt in np.linspace(0.0, max(t, 1.0), 11)]
     rep.add("degenerate-metric-constancy", "degenerate-metric-unitarity",
             max(devs), args.tol, max(devs) <= args.tol)
     return rep
 
 
 def _cmd_gram_limit(args) -> Report:
-    deltas = _floats(args.deltas)
+    deltas = _floats("deltas", args.deltas)
+    if not deltas:
+        raise ValueError(f"--deltas needs at least one value, got {args.deltas!r}")
     values = spectra.gram_minimum_singular_values(args.level, deltas,
                                                   args.base_omega)
     rep = Report("gram limit", {"level": args.level, "deltas": deltas,
@@ -375,7 +399,7 @@ def _system_from_args(args) -> dynamics.SystemSpec:
 
 def _cmd_classical_run(args) -> Report:
     spec = _system_from_args(args)
-    ic = _floats(args.ic)
+    ic = _floats("ic", args.ic)
     traj, verdict = dynamics.integrate(spec, ic, args.t_end,
                                        rtol=args.rtol, atol=args.atol)
     rep = Report("classical run", {
@@ -432,7 +456,7 @@ def _cmd_classical_scan(args) -> Report:
 
 def _cmd_classical_envelope(args) -> Report:
     spec = _system_from_args(args)
-    ic = _floats(args.ic)
+    ic = _floats("ic", args.ic)
     traj, verdict = dynamics.integrate(spec, ic, args.t_end,
                                        rtol=args.rtol, atol=args.atol)
     rep = Report("classical envelope", {
@@ -573,7 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-pairs", type=int, default=0)
     p.add_argument("--seed", type=int, default=20259)
     p.add_argument("--mode", choices=("float", "rational"), default="rational")
-    p.add_argument("--tol", type=float, default=0.0)
+    p.add_argument("--tol", type=float, default=None,
+                   help="default 0 in rational mode, 1e-12 in float mode")
 
     p = add(verify, "descendants", _cmd_verify_descendants)
     p.add_argument("--omega", default="1")
@@ -742,8 +767,8 @@ _POSITIVE = ("omega", "omega1", "omega2", "omegas", "omega_eq", "base_omega",
 
 def _check_inputs(args):
     """Reject non-finite numbers, counts and tolerances below their minimum,
-    and frequencies, times, windows and the scan extent not above 0, naming
-    the flag."""
+    and frequencies, times, windows and the scan extent that do not parse or
+    are not above 0, naming the flag."""
     for dest, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"--{dest.replace('_', '-')} must be finite, "
@@ -759,7 +784,7 @@ def _check_inputs(args):
         if value is None:
             continue
         for tok in str(value).split(","):
-            x = param(tok)
+            x = _number(dest, tok, param)
             if not x < math.inf:
                 raise ValueError(f"--{dest.replace('_', '-')} must be finite, "
                                  f"got {tok}")

@@ -15,7 +15,9 @@ Everything downstream is built on three closed classes:
   through the product rule, so the zero operator has an empty term map.
 
 ``MultiPoly`` and ``DiffOp`` share one sparse term map, ``_TermMap``: its
-constructor, sum, negation, scaling, embedding and repr.
+constructor, sum, negation, scaling, embedding and repr.  Every key is one
+flat tuple of exponents: a polynomial term's exponent per variable, and an
+operator term's multiplication exponents followed by its derivative orders.
 
 The registry of a value is fixed at construction.  Mixing registries (or
 mixing float and rational coefficients) raises
@@ -103,16 +105,6 @@ class Field:
         return [self.param(v) if p in need else None for p, v in given.items()]
 
 
-def _drop_cancelled(clean: dict, summed: list):
-    """Remove the keys whose summed coefficients cancelled to zero.
-
-    Every other coefficient was tested once on the way in.
-    """
-    for key in summed:
-        if key in clean and coeff_is_zero(clean[key]):
-            del clean[key]
-
-
 def _mono_add(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -136,11 +128,11 @@ class _TermMap:
     """A sparse term map: a registry ``vars``, a mode flag ``exact`` and a
     ``terms`` map from keys to nonzero coefficients.
 
-    The constructor takes a dict or a list of ``(key, coefficient)`` pairs;
-    keys that coincide are summed.  A subclass says how long a key is
-    (``_width``), how it splits into exponent tuples over ``vars``
-    (``_split``/``_join``, with one repr prefix per tuple in ``_PREFIXES``)
-    and in which order its terms print (``_repr_order``).
+    A key is one flat tuple of ``len(_PREFIXES) * len(vars)`` exponents:
+    one block of ``len(vars)`` per entry of ``_PREFIXES``, the repr prefix of
+    that block's factors.  The constructor takes a dict from keys to
+    coefficients; keys that coincide as tuples are summed.  A subclass says
+    in which order its terms print (``_repr_order``).
     """
 
     __slots__ = ("vars", "terms", "exact")
@@ -151,8 +143,8 @@ class _TermMap:
         clean = {}
         summed = []
         if terms:
-            width = self._width()
-            for key, c in (terms.items() if isinstance(terms, dict) else terms):
+            width = len(self._PREFIXES) * len(self.vars)
+            for key, c in terms.items():
                 key = tuple(key)
                 if len(key) != width:
                     raise VariableMismatchError(
@@ -163,7 +155,10 @@ class _TermMap:
                         summed.append(key)
                     else:
                         clean[key] = c
-        _drop_cancelled(clean, summed)
+        # only sums can cancel: every other coefficient was tested above
+        for key in summed:
+            if key in clean and coeff_is_zero(clean[key]):
+                del clean[key]
         self.terms = clean
 
     @classmethod
@@ -212,23 +207,22 @@ class _TermMap:
         """Widen to a superset registry (explicit, never implicit)."""
         new_vars = tuple(new_vars)
         pos = _positions(self.vars, new_vars)
+        w = len(new_vars)
+        where = [b * w + p for b in range(len(self._PREFIXES)) for p in pos]
         out = {}
         for key, c in self.terms.items():
-            parts = []
-            for part in self._split(key):
-                wide = [0] * len(new_vars)
-                for p, e in zip(pos, part):
-                    wide[p] = e
-                parts.append(tuple(wide))
-            out[self._join(parts)] = c
+            wide = [0] * (len(self._PREFIXES) * w)
+            for p, e in zip(where, key):
+                wide[p] = e
+            out[tuple(wide)] = c
         return type(self)(new_vars, out, self.exact)
 
     def __repr__(self):
         bits = []
+        labels = [d + v for d in self._PREFIXES for v in self.vars]
         for key in self._repr_order():
-            factors = [f"{d}{v}^{e}" if e > 1 else f"{d}{v}"
-                       for d, part in zip(self._PREFIXES, self._split(key))
-                       for v, e in zip(self.vars, part) if e]
+            factors = [f"{s}^{e}" if e > 1 else s
+                       for s, e in zip(labels, key) if e]
             bits.append("*".join([repr(self.terms[key])] + factors))
         return f"{type(self).__name__}({' + '.join(bits) or 0})"
 
@@ -252,17 +246,6 @@ class MultiPoly(_TermMap):
 
     __slots__ = ()
     _PREFIXES = ("",)
-
-    def _width(self):
-        return len(self.vars)
-
-    @staticmethod
-    def _split(mono):
-        return (mono,)
-
-    @staticmethod
-    def _join(parts):
-        return parts[0]
 
     def _repr_order(self):
         return sorted(self.terms, key=lambda m: (sum(m), m), reverse=True)
@@ -502,8 +485,10 @@ class ExpPolyFn:
 class DiffOp(_TermMap):
     """Normal-ordered polynomial differential operator.
 
-    Terms are ``(mult, deriv) -> c`` standing for ``c * v^mult * D^deriv``
-    with all derivatives acting first.  Products re-normalize through
+    A term's key is the flat tuple ``mult + deriv`` of ``2 * len(vars)``
+    exponents, the multiplication exponents first and then the derivative
+    orders: ``mult + deriv -> c`` stands for ``c * v^mult * D^deriv`` with
+    all derivatives acting first.  Products re-normalize through
     ``D^n v^m = sum_k k! C(n,k) C(m,k) v^(m-k) D^(n-k)`` applied per
     variable, so equality of operators is equality of term maps.
     """
@@ -511,41 +496,23 @@ class DiffOp(_TermMap):
     __slots__ = ()
     _PREFIXES = ("", "d")
 
-    def __init__(self, vars, terms=None, exact: bool = False):
-        vars = tuple(vars)
-        pairs = []
-        if terms:
-            n = len(vars)
-            for (m, d), c in terms.items():
-                m, d = tuple(m), tuple(d)
-                if len(m) != n or len(d) != n:
-                    raise VariableMismatchError(
-                        f"term indices do not match registry {vars}")
-                pairs.append(((m, d), c))
-        super().__init__(vars, pairs, exact)
-
-    def _width(self):
-        return 2        # (mult, deriv), each checked in __init__
-
-    @staticmethod
-    def _split(key):
-        return key
-
-    _join = staticmethod(tuple)
-
     def _repr_order(self):
-        return sorted(self.terms, key=lambda k: (sum(k[1]), sum(k[0]), k))
+        n = len(self.vars)
+        return sorted(self.terms, key=lambda k: (sum(k[n:]), sum(k[:n]), k))
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def identity(cls, vars, exact: bool = False) -> "DiffOp":
-        return cls.from_poly(MultiPoly.const(1, vars, exact))
+        vars = tuple(vars)
+        return cls(vars, {(0,) * (2 * len(vars)): as_coeff(1, exact)}, exact)
 
     @classmethod
     def coordinate(cls, name, vars, exact: bool = False) -> "DiffOp":
         """Multiplication by a coordinate."""
-        return cls.from_poly(MultiPoly.var(name, vars, exact))
+        vars = tuple(vars)
+        z = (0,) * len(vars)
+        return cls(vars, {_unit(name, vars) + z: as_coeff(1, exact)}, exact)
 
     @classmethod
     def derivative(cls, name, vars, exact: bool = False, order: int = 1) -> "DiffOp":
@@ -553,7 +520,7 @@ class DiffOp(_TermMap):
             raise ValueError(f"derivative order must be >= 0, got {order}")
         vars = tuple(vars)
         z = (0,) * len(vars)
-        return cls(vars, {(z, _unit(name, vars, order)): as_coeff(1, exact)},
+        return cls(vars, {z + _unit(name, vars, order): as_coeff(1, exact)},
                    exact)
 
     @classmethod
@@ -565,7 +532,7 @@ class DiffOp(_TermMap):
     def from_poly(cls, poly: MultiPoly) -> "DiffOp":
         """Multiplication operator by a polynomial."""
         z = (0,) * len(poly.vars)
-        return cls(poly.vars, {(mono, z): c for mono, c in poly.terms.items()},
+        return cls(poly.vars, {mono + z: c for mono, c in poly.terms.items()},
                    poly.exact)
 
     # -- algebra ----------------------------------------------------------
@@ -597,21 +564,23 @@ class DiffOp(_TermMap):
     def _compose(self, other: "DiffOp") -> "DiffOp":
         """Operator product self . other in normal order."""
         self._check(other)
+        n = len(self.vars)
+        right = [(key2[:n], key2, c2) for key2, c2 in other.terms.items()]
         out = {}
-        for (m1, d1), c1 in self.terms.items():
-            for (m2, d2), c2 in other.terms.items():
+        for key1, c1 in self.terms.items():
+            d1 = key1[n:]
+            for m2, key2, c2 in right:
                 # commute d1 past m2 variable by variable
-                ranges = [range(min(n, m) + 1) for n, m in zip(d1, m2)]
+                ranges = [range(min(d, m) + 1) for d, m in zip(d1, m2)]
                 for k in itertools.product(*ranges):
                     factor = 1
                     for kv, nv, mv in zip(k, d1, m2):
                         if kv:
                             factor *= math.factorial(kv) * math.comb(nv, kv) \
                                 * math.comb(mv, kv)
-                    mult = tuple(a + b - kv for a, b, kv in zip(m1, m2, k))
-                    deriv = tuple(a + b - kv for a, b, kv in zip(d1, d2, k))
                     c = c1 * c2 * factor
-                    key = (mult, deriv)
+                    key = tuple(a + b - kv
+                                for a, b, kv in zip(key1, key2, k + k))
                     out[key] = out[key] + c if key in out else c
         return DiffOp(self.vars, out, self.exact)
 
@@ -648,14 +617,15 @@ class DiffOp(_TermMap):
         if f.exponent.terms:
             grads = {v: f.exponent.diff(v) for v in vars}
         result = MultiPoly.zero(vars, op.exact)
-        for (mult, deriv), c in op.terms.items():
+        n = len(vars)
+        for key, c in op.terms.items():
             g = f.poly
-            for name, order in zip(vars, deriv):
+            for name, order in zip(vars, key[n:]):
                 for _ in range(order):
                     g = g.diff(name) + g * grads[name] if grads \
                         else g.diff(name)
-            if any(mult):
-                g = g * MultiPoly(vars, {tuple(mult): as_coeff(1, op.exact)},
+            if any(key[:n]):
+                g = g * MultiPoly(vars, {key[:n]: as_coeff(1, op.exact)},
                                   op.exact)
             result = result + g * c
         return result if bare else ExpPolyFn(result, f.exponent)
@@ -690,8 +660,9 @@ def exp_diff_apply(op: DiffOp, scale, p: MultiPoly) -> MultiPoly:
     ``op`` must consist of pure derivative monomials of order >= 1, so that
     each application strictly lowers the degree and the series terminates.
     """
-    for (mult, deriv), _ in op.terms.items():
-        if any(mult) or not any(deriv):
+    n = len(op.vars)
+    for key in op.terms:
+        if any(key[:n]) or not any(key[n:]):
             raise ValueError(
                 "exp_diff_apply needs a pure derivative operator of order >= 1")
     scale = as_coeff(scale, p.exact)

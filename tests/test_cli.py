@@ -126,6 +126,10 @@ def test_usage_error_returns_2_without_raising(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
+JORDAN_OVERFLOW = ("--a, --b and --t overflow a float: "
+                   "|a - i*b*t|^2 + |b|^2 is out of range")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("verify", "eigen", "--nmax", "-1"), "--nmax must be >= 0, got -1"),
     (("verify", "positive", "--nmax", "1", "--eq-nmax", "-2"),
@@ -185,12 +189,52 @@ def test_usage_error_returns_2_without_raising(capsys):
       "--ic", "1,0,0,0", "--t-end", "0"), "--t-end must be > 0, got 0.0"),
     (("classical", "scan", "--system", "pu_quartic", "--omega1", "1",
       "--omega2", "1", "--t-probe", "0"), "--t-probe must be > 0, got 0.0"),
+    (("verify", "eigen", "--omega1", "abc"),
+     "--omega1 must be a real number, got 'abc'"),
+    (("verify", "commutator", "--omegas", "1,inf"),
+     "--omegas must be a rational number, got 'inf'"),
+    (("verify", "commutator", "--omegas", "1/0"),
+     "--omegas must be a rational number, got '1/0'"),
+    (("verify", "maps", "--pairs", "3"),
+     "--pairs must be omega1:omega2 pairs, got '3'"),
+    (("verify", "maps", "--pairs", "3:x"),
+     "--pairs must be a rational number, got 'x'"),
+    (("verify", "maps", "--mode", "float", "--pairs", "inf:1"),
+     "--pairs must be > 0 and finite, got inf:1"),
+    (("verify", "maps", "--pairs", "3:1,0:1"),
+     "--pairs must be > 0 and finite, got 0:1"),
+    (("classical", "run", "--system", "pu", "--omega1", "2", "--omega2", "1",
+      "--ic", "1,2,x,0", "--t-end", "5"), "--ic must be a real number, got 'x'"),
+    (("continuum", "residual", "--orders", "5,x"),
+     "--orders must be an integer, got 'x'"),
+    (("gram", "limit", "--deltas", "0.5,x"),
+     "--deltas must be a real number, got 'x'"),
+    (("gram", "limit", "--deltas", ","),
+     "--deltas needs at least one value, got ','"),
+    (("jordan", "demo", "--a", "x"), "--a must be a complex number, got 'x'"),
+    (("jordan", "demo", "--a", "1e308", "--b", "1e308"), JORDAN_OVERFLOW),
+    (("jordan", "demo", "--b", "1e150", "--t", "1e200"), JORDAN_OVERFLOW),
 ])
 def test_invalid_inputs_name_the_flag(capsys, argv, message):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("mode, default", [("rational", 0.0),
+                                           ("float", 1e-12)])
+def test_maps_tolerance_defaults_per_mode_and_honours_zero(capsys, mode,
+                                                           default):
+    argv = ["verify", "maps", "--pairs", "3:1", "--mode", mode]
+    code, report = run_cli(capsys, *argv)
+    assert code == 0
+    assert report["inputs"]["tol"] == default
+    # float arithmetic leaves round-off that an explicit 0 must not forgive
+    code, report = run_cli(capsys, *argv, "--tol", "0")
+    assert report["inputs"]["tol"] == 0.0
+    assert {c["tolerance"] for c in report["checks"]} == {0.0}
+    assert code == (0 if mode == "rational" else 1)
 
 
 INITIAL_STEP = ("no initial step size: the vector field at the initial "

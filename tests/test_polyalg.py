@@ -172,8 +172,7 @@ def test_keys_that_collapse_are_summed_and_pruned():
     assert MultiPoly(Z, {(1,): one, range(1, 2): one}, True).terms == {
         (1,): one * 2}
     assert MultiPoly(Z, {(1,): one, range(1, 2): -one}, True).terms == {}
-    z = (0,)
-    assert DiffOp(Z, {((1,), z): 1.0, (range(1, 2), z): -1.0}).terms == {}
+    assert DiffOp(Z, {(1, 0): 1.0, range(1, -1, -1): -1.0}).terms == {}
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +243,7 @@ def _random_diffop(rng, vars, max_order=3):
     for _ in range(rng.integers(1, 4)):
         mult = tuple(int(rng.integers(0, 3)) for _ in vars)
         deriv = tuple(int(rng.integers(0, max_order + 1)) for _ in vars)
-        terms[(mult, deriv)] = complex(*rng.normal(size=2))
+        terms[mult + deriv] = complex(*rng.normal(size=2))
     return DiffOp(vars, terms)
 
 
@@ -288,6 +287,15 @@ def test_operator_embedding_and_mismatch():
         DiffOp.derivative("q", QX, order=-1)
     with pytest.raises(VariableMismatchError):
         DiffOp.derivative("zz", QX, order=0)
+
+
+def test_diffop_keys_are_flat_mult_then_deriv():
+    # QX has two variables, so a key holds 2 + 2 exponents
+    with pytest.raises(VariableMismatchError):
+        DiffOp(QX, {(1, 0, 0): 1.0})
+    op = DiffOp(QX, {(1, 0, 0, 2): 1.0})
+    assert op == DiffOp.coordinate("q", QX) * DiffOp.derivative("x", QX, order=2)
+    assert op.embed(("x", "w", "q")).terms == {(0, 0, 1, 2, 0, 0): 1.0}
 
 
 def test_class_closure_preserves_exponent():
