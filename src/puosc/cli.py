@@ -215,7 +215,7 @@ def _parse_pairs(text: str, param):
         if len(halves) != 2:
             raise ValueError(f"--pairs must be omega1:omega2 pairs, got {tok!r}")
         pair = tuple(_number("pairs", x, param) for x in halves)
-        if not all(0 < x < math.inf for x in pair):
+        if not all(x > 0 and _finite(x) for x in pair):
             raise ValueError(f"--pairs must be > 0 and finite, got {tok}")
         pairs.append(pair)
     return pairs
@@ -544,156 +544,157 @@ def _cmd_variational_descend(args) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+# a flag's range; every float value must also be finite
+AT_LEAST_0, ABOVE_0, AT_LEAST_1 = ">= 0", "> 0", ">= 1"
+# a comma list read in the subcommand's --mode, each entry above 0 and
+# finite as a float
+FREQUENCY = "frequency"
+_BOUNDS = {AT_LEAST_0: lambda x: x >= 0, ABOVE_0: lambda x: x > 0,
+           AT_LEAST_1: lambda x: x >= 1}
+
+
+@dataclass(frozen=True)
+class Flag:
+    """One option of a subcommand, spelled ``--dest`` with dashes."""
+    dest: str
+    type: type
+    default: object = None
+    range: str | None = None
+    choices: tuple | None = None
+    help: str | None = None
+    required: bool = False
+
+    @property
+    def name(self) -> str:
+        return "--" + self.dest.replace("_", "-")
+
+
+_MODES = ("float", "rational")
+_OUT = Flag("out", str, help="report JSON path")
+_COUPLINGS = tuple(Flag(c, float, 0.0) for c in ("alpha", "beta", "gamma"))
+_VARIATIONAL = (*_COUPLINGS, Flag("omega", float, 1.0, ABOVE_0))
+
+
+def _mode_tol(mode: str, tol: float) -> tuple:
+    return (Flag("mode", str, mode, choices=_MODES),
+            Flag("tol", float, tol, AT_LEAST_0))
+
+
+def _classical_common(rtol: float = 1e-10, atol: float = 1e-12) -> tuple:
+    return (Flag("system", str, choices=dynamics.CLASSICAL_SYSTEMS,
+                 required=True),
+            *(Flag(om, float, None, ABOVE_0)
+              for om in ("omega1", "omega2", "omega")),
+            *_COUPLINGS, Flag("lam", float, 0.0),
+            Flag("rtol", float, rtol), Flag("atol", float, atol))
+
+
+# (group, what) -> (handler, flags); the order is that of --help
+COMMANDS = {
+    ("verify", "eigen"): (_cmd_verify_eigen, (
+        Flag("omega1", str, "3", FREQUENCY),
+        Flag("omega2", str, "1", FREQUENCY),
+        Flag("nmax", int, 8, AT_LEAST_0), *_mode_tol("float", 1e-9))),
+    ("verify", "positive"): (_cmd_verify_positive, (
+        Flag("omega1", str, "2", FREQUENCY),
+        Flag("omega2", str, "1", FREQUENCY),
+        Flag("nmax", int, 10, AT_LEAST_0),
+        Flag("eq_nmax", int, 12, AT_LEAST_0),
+        Flag("omega_eq", str, "1", FREQUENCY), *_mode_tol("float", 1e-12))),
+    ("verify", "identities"): (_cmd_verify_identities, (
+        Flag("nmax", int, 14, AT_LEAST_0,
+             help="verify the product expansion for all n+m <= nmax"),
+        Flag("expmax", int, 20, AT_LEAST_0),
+        Flag("mode", str, "rational", choices=("rational",)))),
+    ("verify", "commutator"): (_cmd_verify_commutator, (
+        Flag("omegas", str, "1,2", FREQUENCY),
+        *_mode_tol("rational", 1e-12))),
+    ("verify", "maps"): (_cmd_verify_maps, (
+        Flag("pairs", str, "3:1,2:1",
+             help="comma-separated omega1:omega2 pairs"),
+        Flag("random_pairs", int, 0, AT_LEAST_0),
+        Flag("seed", int, 20259),
+        Flag("mode", str, "rational", choices=_MODES),
+        Flag("tol", float, None, AT_LEAST_0,
+             help="default 0 in rational mode, 1e-12 in float mode"))),
+    ("verify", "descendants"): (_cmd_verify_descendants, (
+        Flag("omega", str, "1", FREQUENCY), *_mode_tol("float", 1e-12))),
+    ("continuum", "residual"): (_cmd_continuum_residual, (
+        Flag("l", int, 0), Flag("k", float, 1.0),
+        Flag("omega", float, 1.0, ABOVE_0), Flag("orders", str, "5,10,20"),
+        Flag("ratio_tol", float, 1e-6, AT_LEAST_0))),
+    ("spectrum", "density"): (_cmd_spectrum_density, (
+        Flag("omega1", float, math.sqrt(2), ABOVE_0),
+        Flag("omega2", float, 1.0, ABOVE_0), Flag("target", float, 0.0),
+        Flag("nmax", int, 100, AT_LEAST_0), Flag("expect", float),
+        Flag("expect_tol", float, 1e-4, AT_LEAST_0))),
+    ("jordan", "demo"): (_cmd_jordan_demo, (
+        Flag("a", str, "0"), Flag("b", str, "1"), Flag("t", float, 2.0),
+        Flag("tol", float, 1e-14, AT_LEAST_0))),
+    ("gram", "limit"): (_cmd_gram_limit, (
+        Flag("level", int, 1, AT_LEAST_0),
+        Flag("deltas", str, "0.5,0.1,0.02"),
+        Flag("base_omega", float, 1.0, ABOVE_0))),
+    ("classical", "run"): (_cmd_classical_run, (
+        *_classical_common(),
+        Flag("ic", str, required=True, help="comma-separated 4 components"),
+        Flag("t_end", float, None, ABOVE_0, required=True),
+        Flag("tol_energy", float, 1e-6, AT_LEAST_0),
+        Flag("csv", str, help="trajectory CSV path"))),
+    ("classical", "scan"): (_cmd_classical_scan, (
+        *_classical_common(rtol=1e-7, atol=1e-9),
+        Flag("extent", float, 3.0, ABOVE_0),
+        Flag("cells", int, 9, AT_LEAST_1),
+        Flag("t_probe", float, 60.0, ABOVE_0), Flag("out_grid", str))),
+    ("classical", "envelope"): (_cmd_classical_envelope, (
+        *_classical_common(), Flag("ic", str, required=True),
+        Flag("t_end", float, 500.0, ABOVE_0),
+        Flag("window", float, 25.0, ABOVE_0),
+        Flag("min_correlation", float, 0.9))),
+    ("variational", "check"): (_cmd_variational_check, (
+        *_VARIATIONAL, Flag("sets", int, 10, AT_LEAST_1),
+        Flag("seed", int, 42, AT_LEAST_0),
+        Flag("tol", float, 1e-6, AT_LEAST_0))),
+    ("variational", "descend"): (_cmd_variational_descend, (
+        *_VARIATIONAL, Flag("threshold", float, -1e6),
+        Flag("cert", str, help="certificate JSON path"))),
+}
+
+
+def build_parser(chosen: tuple | None = None) -> argparse.ArgumentParser:
+    """The argparse tree of ``COMMANDS``, or with ``chosen``, one of its
+    ``(group, what)`` keys, only that subcommand's branch."""
     parser = argparse.ArgumentParser(
         prog="puosc",
         description="Verification toolkit for the Pais-Uhlenbeck oscillator")
     parser.add_argument("--config", default=None,
                         help="JSON file of options, read as --key=value "
                              "flags placed before the command line's own")
-    top = parser.add_subparsers(dest="group", required=True)
 
-    def add(sub, name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=fn)
-        p.add_argument("--out", default=None, help="report JSON path")
-        return p
+    def subparsers(p, dest, names):
+        # a branch's usage lists every name of the table; the whole tree
+        # lists its own choices, and a metavar would rename the argument
+        # in argparse's "invalid choice" and "required" errors
+        metavar = "{%s}" % ",".join(dict.fromkeys(names)) if chosen else None
+        return p.add_subparsers(dest=dest, required=True, metavar=metavar)
 
-    verify = top.add_parser("verify").add_subparsers(dest="what",
-                                                     required=True)
-    p = add(verify, "eigen", _cmd_verify_eigen)
-    p.add_argument("--omega1", default="3")
-    p.add_argument("--omega2", default="1")
-    p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--mode", choices=("float", "rational"), default="float")
-    p.add_argument("--tol", type=float, default=1e-9)
-
-    p = add(verify, "positive", _cmd_verify_positive)
-    p.add_argument("--omega1", default="2")
-    p.add_argument("--omega2", default="1")
-    p.add_argument("--nmax", type=int, default=10)
-    p.add_argument("--eq-nmax", type=int, default=12)
-    p.add_argument("--omega-eq", default="1")
-    p.add_argument("--mode", choices=("float", "rational"), default="float")
-    p.add_argument("--tol", type=float, default=1e-12)
-
-    p = add(verify, "identities", _cmd_verify_identities)
-    p.add_argument("--nmax", type=int, default=14,
-                   help="verify the product expansion for all n+m <= nmax")
-    p.add_argument("--expmax", type=int, default=20)
-    p.add_argument("--mode", choices=("rational",), default="rational")
-
-    p = add(verify, "commutator", _cmd_verify_commutator)
-    p.add_argument("--omegas", default="1,2")
-    p.add_argument("--mode", choices=("float", "rational"), default="rational")
-    p.add_argument("--tol", type=float, default=1e-12)
-
-    p = add(verify, "maps", _cmd_verify_maps)
-    p.add_argument("--pairs", default="3:1,2:1",
-                   help="comma-separated omega1:omega2 pairs")
-    p.add_argument("--random-pairs", type=int, default=0)
-    p.add_argument("--seed", type=int, default=20259)
-    p.add_argument("--mode", choices=("float", "rational"), default="rational")
-    p.add_argument("--tol", type=float, default=None,
-                   help="default 0 in rational mode, 1e-12 in float mode")
-
-    p = add(verify, "descendants", _cmd_verify_descendants)
-    p.add_argument("--omega", default="1")
-    p.add_argument("--mode", choices=("float", "rational"), default="float")
-    p.add_argument("--tol", type=float, default=1e-12)
-
-    continuum = top.add_parser("continuum").add_subparsers(dest="what",
-                                                           required=True)
-    p = add(continuum, "residual", _cmd_continuum_residual)
-    p.add_argument("--l", type=int, default=0)
-    p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--orders", default="5,10,20")
-    p.add_argument("--ratio-tol", type=float, default=1e-6)
-
-    spectrum = top.add_parser("spectrum").add_subparsers(dest="what",
-                                                         required=True)
-    p = add(spectrum, "density", _cmd_spectrum_density)
-    p.add_argument("--omega1", type=float, default=math.sqrt(2))
-    p.add_argument("--omega2", type=float, default=1.0)
-    p.add_argument("--target", type=float, default=0.0)
-    p.add_argument("--nmax", type=int, default=100)
-    p.add_argument("--expect", type=float, default=None)
-    p.add_argument("--expect-tol", type=float, default=1e-4)
-
-    jordan = top.add_parser("jordan").add_subparsers(dest="what", required=True)
-    p = add(jordan, "demo", _cmd_jordan_demo)
-    p.add_argument("--a", default="0")
-    p.add_argument("--b", default="1")
-    p.add_argument("--t", type=float, default=2.0)
-    p.add_argument("--tol", type=float, default=1e-14)
-
-    gram = top.add_parser("gram").add_subparsers(dest="what", required=True)
-    p = add(gram, "limit", _cmd_gram_limit)
-    p.add_argument("--level", type=int, default=1)
-    p.add_argument("--deltas", default="0.5,0.1,0.02")
-    p.add_argument("--base-omega", type=float, default=1.0)
-
-    classical = top.add_parser("classical").add_subparsers(dest="what",
-                                                           required=True)
-
-    def classical_common(p):
-        p.add_argument("--system", required=True,
-                       choices=dynamics.CLASSICAL_SYSTEMS)
-        p.add_argument("--omega1", type=float, default=None)
-        p.add_argument("--omega2", type=float, default=None)
-        p.add_argument("--omega", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=0.0)
-        p.add_argument("--beta", type=float, default=0.0)
-        p.add_argument("--gamma", type=float, default=0.0)
-        p.add_argument("--lam", type=float, default=0.0)
-        p.add_argument("--rtol", type=float, default=1e-10)
-        p.add_argument("--atol", type=float, default=1e-12)
-
-    p = add(classical, "run", _cmd_classical_run)
-    classical_common(p)
-    p.add_argument("--ic", required=True, help="comma-separated 4 components")
-    p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--tol-energy", type=float, default=1e-6)
-    p.add_argument("--csv", default=None, help="trajectory CSV path")
-
-    p = add(classical, "scan", _cmd_classical_scan)
-    classical_common(p)
-    p.add_argument("--extent", type=float, default=3.0)
-    p.add_argument("--cells", type=int, default=9)
-    p.add_argument("--t-probe", type=float, default=60.0)
-    p.add_argument("--out-grid", default=None)
-    p.set_defaults(rtol=1e-7, atol=1e-9)
-
-    p = add(classical, "envelope", _cmd_classical_envelope)
-    classical_common(p)
-    p.add_argument("--ic", required=True)
-    p.add_argument("--t-end", type=float, default=500.0)
-    p.add_argument("--window", type=float, default=25.0)
-    p.add_argument("--min-correlation", type=float, default=0.9)
-
-    var = top.add_parser("variational").add_subparsers(dest="what",
-                                                       required=True)
-    p = add(var, "check", _cmd_variational_check)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--sets", type=int, default=10)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-6)
-
-    p = add(var, "descend", _cmd_variational_descend)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--threshold", type=float, default=-1e6)
-    p.add_argument("--cert", default=None, help="certificate JSON path")
-
+    top = subparsers(parser, "group", (group for group, _ in COMMANDS))
+    groups = {}
+    for (group, what), (handler, flags) in COMMANDS.items():
+        if chosen and chosen != (group, what):
+            continue
+        if group not in groups:
+            groups[group] = subparsers(top.add_parser(group), "what", (
+                w for g, w in COMMANDS if g == group))
+        p = groups[group].add_parser(what)
+        p.set_defaults(handler=handler)
+        for f in (_OUT, *flags):
+            p.add_argument(f.name, type=f.type, default=f.default,
+                           choices=f.choices, help=f.help,
+                           required=f.required)
     return parser
 
 
@@ -729,6 +730,35 @@ def _config_flags(argv: list) -> list:
     return rest[:2] + flags + rest[2:]
 
 
+def _finite(x) -> bool:
+    """Whether ``x``, a float or a Fraction, is finite as a float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:   # a Fraction beyond the float range
+        return False
+
+
+def _check_inputs(args):
+    """Reject each flag value of the chosen subcommand outside its declared
+    range, naming the flag.  Flags are checked in table order, and each
+    entry of a frequency list in turn."""
+    param = Field(getattr(args, "mode", None) == "rational").param
+    for f in COMMANDS[args.group, args.what][1]:
+        value = getattr(args, f.dest)
+        if value is None:
+            continue
+        bound, entries = f.range, [(value, value)]
+        if bound == FREQUENCY:
+            bound = ABOVE_0
+            entries = ((tok, _number(f.dest, tok, param))
+                       for tok in value.split(","))
+        for text, x in entries:
+            if isinstance(x, (float, Fraction)) and not _finite(x):
+                raise ValueError(f"{f.name} must be finite, got {text}")
+            if bound and not _BOUNDS[bound](x):
+                raise ValueError(f"{f.name} must be {bound}, got {text}")
+
+
 def main(argv=None) -> int:
     try:
         argv = _config_flags(list(sys.argv[1:] if argv is None else argv))
@@ -738,7 +768,8 @@ def main(argv=None) -> int:
     except ValueError as err:   # includes JSON and UTF-8 decoding errors
         print(f"error: bad config: {err}", file=sys.stderr)
         return 2
-    parser = build_parser()
+    chosen = tuple(argv[:2])
+    parser = build_parser(chosen if chosen in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:   # argparse has printed the usage or the help
@@ -757,40 +788,6 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: I/O failure: {err}", file=sys.stderr)
         return 3
-
-
-_MINIMA = {"nmax": 0, "eq_nmax": 0, "expmax": 0, "cells": 1, "sets": 1,
-           "tol": 0, "ratio_tol": 0, "expect_tol": 0, "tol_energy": 0}
-_POSITIVE = ("omega", "omega1", "omega2", "omegas", "omega_eq", "base_omega",
-             "window", "extent", "t_end", "t_probe")
-
-
-def _check_inputs(args):
-    """Reject non-finite numbers, counts and tolerances below their minimum,
-    and frequencies, times, windows and the scan extent that do not parse or
-    are not above 0, naming the flag."""
-    for dest, value in vars(args).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"--{dest.replace('_', '-')} must be finite, "
-                             f"got {value}")
-    for dest, least in _MINIMA.items():
-        value = getattr(args, dest, None)
-        if value is not None and value < least:
-            raise ValueError(f"--{dest.replace('_', '-')} must be >= {least}, "
-                             f"got {value}")
-    param = Field(getattr(args, "mode", None) == "rational").param
-    for dest in _POSITIVE:
-        value = getattr(args, dest, None)
-        if value is None:
-            continue
-        for tok in str(value).split(","):
-            x = _number(dest, tok, param)
-            if not x < math.inf:
-                raise ValueError(f"--{dest.replace('_', '-')} must be finite, "
-                                 f"got {tok}")
-            if not x > 0:
-                raise ValueError(f"--{dest.replace('_', '-')} must be > 0, "
-                                 f"got {tok}")
 
 
 if __name__ == "__main__":

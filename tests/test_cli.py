@@ -1,12 +1,14 @@
+import argparse
 import json
-import math
 import os
+import shlex
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from puosc.cli import main
+from puosc.cli import COMMANDS, main
+from test_golden import readme_commands
 
 REPORT_KEYS = {"version", "subcommand", "inputs", "checks", "pass"}
 CHECK_KEYS = {"name", "anchor", "value", "tolerance", "pass"}
@@ -214,12 +216,28 @@ JORDAN_OVERFLOW = ("--a, --b and --t overflow a float: "
     (("jordan", "demo", "--a", "x"), "--a must be a complex number, got 'x'"),
     (("jordan", "demo", "--a", "1e308", "--b", "1e308"), JORDAN_OVERFLOW),
     (("jordan", "demo", "--b", "1e150", "--t", "1e200"), JORDAN_OVERFLOW),
+    (("verify", "eigen", "--mode", "rational", "--omega1", "1e400"),
+     "--omega1 must be finite, got 1e400"),
+    (("verify", "maps", "--pairs", "1e400:1"),
+     "--pairs must be > 0 and finite, got 1e400:1"),
+    (("verify", "maps", "--pairs", "3:1", "--random-pairs", "-1"),
+     "--random-pairs must be >= 0, got -1"),
+    (("gram", "limit", "--level", "-1"), "--level must be >= 0, got -1"),
+    (("variational", "check", "--seed", "-1"), "--seed must be >= 0, got -1"),
 ])
 def test_invalid_inputs_name_the_flag(capsys, argv, message):
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_ranges_belong_to_their_subcommand(capsys):
+    # --seed >= 0 is declared for variational check, not for verify maps
+    code, report = run_cli(capsys, "verify", "maps", "--pairs", "3:1",
+                           "--random-pairs", "1", "--seed", "-5")
+    assert code == 0
+    assert report["inputs"]["seed"] == -5
 
 
 @pytest.mark.parametrize("mode, default", [("rational", 0.0),
@@ -437,44 +455,55 @@ def test_wrong_typed_config_values_are_usage_errors(tmp_path, capsys, case):
     assert "Traceback" not in captured.err
 
 
-def readme_or_bad(*readme):
-    """The README's values of a float flag, their negatives, nan and +-inf."""
-    return st.sampled_from([*readme, *(-v for v in readme if v), -1.0,
-                            math.nan, math.inf, -math.inf])
+def readme_values() -> dict:
+    """{(group, what): {dest: value}} of the README's command lines."""
+    values = {}
+    for line in readme_commands():
+        group, what, *tokens = shlex.split(line.replace("=", " "))[1:]
+        values[group, what] = {flag[2:].replace("-", "_"): value
+                               for flag, value in zip(tokens[::2],
+                                                      tokens[1::2])}
+    return values
 
 
-COMPLEX_TEXT = st.sampled_from(("0", "1", "-1", "1j", "nan", "inf", "-inf"))
+README = readme_values()
+# values that keep a run short, given in place of the README's own
+SMALL = {"nmax": "3", "eq_nmax": "3", "expmax": "6", "orders": "2,5",
+         "random_pairs": "2", "t_end": "30", "window": "3", "t_probe": "5",
+         "cells": "2", "sets": "2"}
+# 0 and -1 lie below every declared bound and 1e400 beyond a frequency's
+# float range; the rest are words, complex and non-finite numbers
+EDGES = ("0", "-1", "1e400", "1j", "bogus", "nan", "inf", "-inf")
+ARTIFACTS = ("csv", "cert", "out_grid")   # paths the run would write to
 
-# (subcommand, flags always given, flags given or left out), with counts kept
-# small: --nmax <= 20, orders <= 8, --sets <= 3
-CONTRACT_COMMANDS = [
-    (("jordan", "demo"), {},
-     {"a": COMPLEX_TEXT, "b": COMPLEX_TEXT, "t": readme_or_bad(2.0),
-      "tol": readme_or_bad(1e-14)}),
-    (("spectrum", "density"), {"nmax": st.integers(0, 20)},
-     {"omega1": readme_or_bad(1.4142135623730951), "omega2": readme_or_bad(1.0),
-      "target": readme_or_bad(0.0), "expect": readme_or_bad(0.5),
-      "expect-tol": readme_or_bad(1e-4)}),
-    (("continuum", "residual"),
-     {"orders": st.sampled_from(("2,4", "4,8", "2,5,8", "8,8"))},
-     {"l": st.integers(-2, 2), "k": readme_or_bad(1.0),
-      "omega": readme_or_bad(1.0), "ratio-tol": readme_or_bad(1e-6)}),
-    (("variational", "check"), {"sets": st.integers(1, 3)},
-     {"alpha": readme_or_bad(1.0), "beta": readme_or_bad(1.0),
-      "gamma": readme_or_bad(1.0), "omega": readme_or_bad(1.0),
-      "tol": readme_or_bad(1e-6)}),
-]
+
+def good_values(key, flag) -> list:
+    """Strategies for a flag's README value (small for a size, else its
+    default) and for its choices."""
+    readme = SMALL.get(flag.dest, README[key].get(flag.dest, flag.default))
+    good = [st.just(str(readme))] if readme is not None else []
+    if flag.choices:
+        good.append(st.sampled_from(flag.choices))
+    return good
 
 
 @st.composite
 def contract_argv(draw):
-    argv, always, optional = draw(st.sampled_from(CONTRACT_COMMANDS))
-    argv = list(argv)
-    for flag, values in always.items():
-        argv.append(f"--{flag}={draw(values)}")
-    for flag, values in optional.items():
-        if draw(st.booleans()):
-            argv.append(f"--{flag}={draw(values)}")
+    """A subcommand of the table with each size, required and README flag
+    given and each other flag given or left out; in half the examples no
+    value is an edge value."""
+    key, (_, flags) = draw(st.sampled_from(list(COMMANDS.items())))
+    faulty = draw(st.booleans())
+    argv = list(key)
+    for flag in flags:
+        values = good_values(key, flag)
+        if faulty:
+            values.append(st.sampled_from(EDGES))
+        if flag.dest in ARTIFACTS or not values:
+            continue
+        if (flag.required or flag.dest in SMALL or flag.dest in README[key]
+                or draw(st.booleans())):
+            argv.append(f"{flag.name}={draw(st.one_of(values))}")
     return argv
 
 
@@ -482,7 +511,7 @@ def reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
-@settings(max_examples=200, deadline=None,
+@settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(contract_argv())
 def test_cli_exit_code_contract(capsys, argv):
@@ -495,6 +524,21 @@ def test_cli_exit_code_contract(capsys, argv):
         assert (code == 1) == any(not c["pass"] for c in report["checks"])
     else:
         assert captured.out == ""
+
+
+def test_main_builds_only_the_chosen_subcommand(capsys, monkeypatch):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def record(parser, *names, **kwargs):
+        added.append(names[-1])
+        return add_argument(parser, *names, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", record)
+    assert main(["verify", "eigen", "--nmax", "1"]) == 0
+    # -h of puosc, puosc verify and puosc verify eigen, then their flags
+    assert added == ["--help", "--config", "--help", "--help", "--out",
+                     "--omega1", "--omega2", "--nmax", "--mode", "--tol"]
 
 
 def test_informational_z_form_entry(capsys):
