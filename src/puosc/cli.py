@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -113,10 +114,6 @@ def _number(dest: str, tok: str, kind=float):
                          f"got {tok!r}") from None
 
 
-def _floats(dest: str, csv_text: str):
-    return [_number(dest, tok) for tok in csv_text.split(",") if tok != ""]
-
-
 # ---------------------------------------------------------------------------
 # verify subcommands
 # ---------------------------------------------------------------------------
@@ -124,8 +121,7 @@ def _floats(dest: str, csv_text: str):
 def _cmd_verify_eigen(args) -> Report:
     tol = args.tol
     exact = args.mode == "rational"
-    f = Field(exact)
-    params = SpectrumParams(f.param(args.omega1), f.param(args.omega2))
+    params = SpectrumParams(args.omega1, args.omega2)
     rep = Report("verify eigen", {
         "omega1": float(params.omega1), "omega2": float(params.omega2),
         "nmax": args.nmax, "mode": args.mode, "tol": tol})
@@ -140,8 +136,8 @@ def _cmd_verify_positive(args) -> Report:
     tol = args.tol
     exact = args.mode == "rational"
     f = Field(exact)
-    params = SpectrumParams(f.param(args.omega1), f.param(args.omega2))
-    om = f.param(args.omega_eq)
+    params = SpectrumParams(args.omega1, args.omega2)
+    om = args.omega_eq
     rep = Report("verify positive", {
         "omega1": float(params.omega1), "omega2": float(params.omega2),
         "nmax": args.nmax, "eq_nmax": args.eq_nmax, "omega_eq": float(om),
@@ -195,7 +191,7 @@ def _cmd_verify_identities(args) -> Report:
 
 def _cmd_verify_commutator(args) -> Report:
     exact = args.mode == "rational"
-    omegas = [Field(exact).param(tok) for tok in args.omegas.split(",")]
+    omegas = args.omegas
     rep = Report("verify commutator", {"omegas": [float(o) for o in omegas],
                                        "mode": args.mode, "tol": args.tol})
     for om in omegas:
@@ -204,21 +200,6 @@ def _cmd_verify_commutator(args) -> Report:
                 "angular-momentum-conservation", dev, args.tol,
                 dev <= args.tol)
     return rep
-
-
-def _parse_pairs(text: str, param):
-    pairs = []
-    for tok in text.split(","):
-        if not tok:
-            continue
-        halves = tok.split(":")
-        if len(halves) != 2:
-            raise ValueError(f"--pairs must be omega1:omega2 pairs, got {tok!r}")
-        pair = tuple(_number("pairs", x, param) for x in halves)
-        if not all(x > 0 and _finite(x) for x in pair):
-            raise ValueError(f"--pairs must be > 0 and finite, got {tok}")
-        pairs.append(pair)
-    return pairs
 
 
 def _random_rational_pairs(count: int, seed: int):
@@ -234,45 +215,44 @@ def _random_rational_pairs(count: int, seed: int):
 
 def _cmd_verify_maps(args) -> Report:
     exact = args.mode == "rational"
-    pairs = _parse_pairs(args.pairs, Field(exact).param) if args.pairs else []
+    pairs = args.pairs
     if args.random_pairs:
         if not exact:
             raise ValueError("random pairs are drawn as rationals; "
                              "use --mode rational")
-        pairs += _random_rational_pairs(args.random_pairs, args.seed)
-    if not pairs:
-        raise ValueError("no frequency pairs given")
+        pairs = pairs + _random_rational_pairs(args.random_pairs, args.seed)
     # float arithmetic cannot promise exact zeros
     tol = args.tol if args.tol is not None else 0.0 if exact else 1e-12
     rep = Report("verify maps", {
         "pairs": [[float(a), float(b)] for a, b in pairs],
         "mode": args.mode, "tol": tol,
         "random_pairs": args.random_pairs, "seed": args.seed})
+    maps = [{name: build_map(name, om1, exact=exact) if name == "rotation"
+             else build_map(name, om1, om2, exact=exact) for name in MAP_NAMES}
+            for om1, om2 in pairs]
     worst_sym = 0.0
-    for om1, om2 in pairs:
-        for name in MAP_NAMES:
-            m = (build_map(name, om1, exact=exact) if name == "rotation"
-                 else build_map(name, om1, om2, exact=exact))
+    for pair_maps in maps:
+        for m in pair_maps.values():
             worst_sym = max(worst_sym, verify_symplectic(m).max_deviation)
     rep.add("all-maps-symplectic", "canonical-map-symplecticity",
             worst_sym, tol, worst_sym <= tol)
 
     worst = {"diag": 0.0, "rotation": 0.0, "complexified": 0.0}
-    for om1, om2 in pairs:
+    for (om1, om2), m in zip(pairs, maps):
         pu = build_hamiltonian("pu", omega1=om1, omega2=om2, exact=exact)
         ghost = build_hamiltonian("pu_diag_ghost", omega1=om1, omega2=om2,
                                   exact=exact)
-        worst["diag"] = max(worst["diag"], transform_equals(
-            pu, build_map("diag", om1, om2, exact=exact), ghost))
+        worst["diag"] = max(worst["diag"],
+                            transform_equals(pu, m["diag"], ghost))
         htild = build_hamiltonian("htild", omega=om1, exact=exact)
         hprime = build_hamiltonian("hprime", omega=om1, exact=exact)
-        worst["rotation"] = max(worst["rotation"], transform_equals(
-            htild, build_map("rotation", om1, exact=exact), hprime))
+        worst["rotation"] = max(worst["rotation"],
+                                transform_equals(htild, m["rotation"], hprime))
         dpos = build_hamiltonian("diag_positive", omega1=om1, omega2=om2,
                                  exact=exact)
         rot = build_hamiltonian("rot", omega1=om1, omega2=om2, exact=exact)
         worst["complexified"] = max(worst["complexified"], transform_equals(
-            dpos, build_map("complexified", om1, om2, exact=exact), rot))
+            dpos, m["complexified"], rot))
     rep.add("ghost-form-diagonalization", "hamiltonian-diagonalization",
             worst["diag"], tol, worst["diag"] <= tol)
     rep.add("rotation-frame-equivalence", "rotation-frame-equivalence",
@@ -284,7 +264,7 @@ def _cmd_verify_maps(args) -> Report:
 
 def _cmd_verify_descendants(args) -> Report:
     exact = args.mode == "rational"
-    om = Field(exact).param(args.omega)
+    om = args.omega
     rep = Report("verify descendants", {"omega": float(om), "tol": args.tol,
                                         "mode": args.mode})
     worst = 0.0
@@ -308,10 +288,10 @@ def _cmd_verify_descendants(args) -> Report:
 # ---------------------------------------------------------------------------
 
 def _cmd_continuum_residual(args) -> Report:
-    orders = [_number("orders", t, int) for t in args.orders.split(",")]
+    orders = args.orders
     if len(set(orders)) < 2:
         raise ValueError("--orders needs at least two distinct orders, "
-                         f"got {args.orders}")
+                         f"got {','.join(map(str, orders))}")
     rep = Report("continuum residual", {
         "l": args.l, "k": args.k, "omega": args.omega, "orders": orders,
         "ratio_tol": args.ratio_tol})
@@ -369,12 +349,9 @@ def _cmd_jordan_demo(args) -> Report:
 
 
 def _cmd_gram_limit(args) -> Report:
-    deltas = _floats("deltas", args.deltas)
-    if not deltas:
-        raise ValueError(f"--deltas needs at least one value, got {args.deltas!r}")
-    values = spectra.gram_minimum_singular_values(args.level, deltas,
+    values = spectra.gram_minimum_singular_values(args.level, args.deltas,
                                                   args.base_omega)
-    rep = Report("gram limit", {"level": args.level, "deltas": deltas,
+    rep = Report("gram limit", {"level": args.level, "deltas": args.deltas,
                                 "base_omega": args.base_omega})
     rep.add("singular-values", "exceptional-point-coalescence",
             values, None, True)
@@ -399,14 +376,13 @@ def _system_from_args(args) -> dynamics.SystemSpec:
 
 def _cmd_classical_run(args) -> Report:
     spec = _system_from_args(args)
-    ic = _floats("ic", args.ic)
-    traj, verdict = dynamics.integrate(spec, ic, args.t_end,
+    traj, verdict = dynamics.integrate(spec, args.ic, args.t_end,
                                        rtol=args.rtol, atol=args.atol)
     rep = Report("classical run", {
         "system": args.system, "params": {k: float(v)
                                           for k, v in spec.params.items()},
-        "ic": ic, "t_end": args.t_end, "rtol": args.rtol, "atol": args.atol,
-        "tol_energy": args.tol_energy})
+        "ic": args.ic, "t_end": args.t_end, "rtol": args.rtol,
+        "atol": args.atol, "tol_energy": args.tol_energy})
     rep.add("outcome", "classical-trajectory", verdict.outcome, None, True)
     if verdict.collapsed:
         rep.add("escape-time-estimate", "finite-time-escape",
@@ -456,13 +432,12 @@ def _cmd_classical_scan(args) -> Report:
 
 def _cmd_classical_envelope(args) -> Report:
     spec = _system_from_args(args)
-    ic = _floats("ic", args.ic)
-    traj, verdict = dynamics.integrate(spec, ic, args.t_end,
+    traj, verdict = dynamics.integrate(spec, args.ic, args.t_end,
                                        rtol=args.rtol, atol=args.atol)
     rep = Report("classical envelope", {
         "system": args.system, "params": {k: float(v)
                                           for k, v in spec.params.items()},
-        "ic": ic, "t_end": args.t_end, "window": args.window,
+        "ic": args.ic, "t_end": args.t_end, "window": args.window,
         "rtol": args.rtol, "min_correlation": args.min_correlation})
     rep.add("outcome", "classical-trajectory", verdict.outcome, None,
             not verdict.collapsed)
@@ -547,25 +522,28 @@ def _cmd_variational_descend(args) -> Report:
 # command table
 # ---------------------------------------------------------------------------
 
-# a flag's range; every float value must also be finite
-AT_LEAST_0, ABOVE_0, AT_LEAST_1 = ">= 0", "> 0", ">= 1"
-# a comma list read in the subcommand's --mode, each entry above 0 and
-# finite as a float
-FREQUENCY = "frequency"
+# a flag's range, tested on each value as a float; every value that is not
+# an int must also be finite as a float
+AT_LEAST_0, ABOVE_0, AT_LEAST_1, IN_0_1 = ">= 0", "> 0", ">= 1", "in (0, 1)"
 _BOUNDS = {AT_LEAST_0: lambda x: x >= 0, ABOVE_0: lambda x: x > 0,
-           AT_LEAST_1: lambda x: x >= 1}
+           AT_LEAST_1: lambda x: x >= 1, IN_0_1: lambda x: 0 < x < 1}
+# kinds read in the subcommand's --mode: a frequency, or omega1:omega2
+FREQUENCY, PAIR = "frequency", "pair"
 
 
 @dataclass(frozen=True)
 class Flag:
-    """One option of a subcommand, spelled ``--dest`` with dashes."""
+    """One option of a subcommand, spelled ``--dest`` with dashes.  Of the
+    kinds of value in ``type``, argparse converts int, float and str, and
+    ``_run`` reads FREQUENCY, PAIR and, with ``comma_list``, lists of any."""
     dest: str
-    type: type
+    type: object
     default: object = None
     range: str | None = None
     choices: tuple | None = None
     help: str | None = None
     required: bool = False
+    comma_list: bool = False
 
     @property
     def name(self) -> str:
@@ -589,31 +567,33 @@ def _classical_common(rtol: float = 1e-10, atol: float = 1e-12) -> tuple:
             *(Flag(om, float, None, ABOVE_0)
               for om in ("omega1", "omega2", "omega")),
             *_COUPLINGS, Flag("lam", float, 0.0),
-            Flag("rtol", float, rtol), Flag("atol", float, atol))
+            Flag("rtol", float, rtol, IN_0_1),
+            Flag("atol", float, atol, IN_0_1))
 
 
 # (group, what) -> (handler, flags); the order is that of --help
 COMMANDS = {
     ("verify", "eigen"): (_cmd_verify_eigen, (
-        Flag("omega1", str, "3", FREQUENCY),
-        Flag("omega2", str, "1", FREQUENCY),
+        Flag("omega1", FREQUENCY, "3", ABOVE_0),
+        Flag("omega2", FREQUENCY, "1", ABOVE_0),
         Flag("nmax", int, 8, AT_LEAST_0), *_mode_tol("float", 1e-9))),
     ("verify", "positive"): (_cmd_verify_positive, (
-        Flag("omega1", str, "2", FREQUENCY),
-        Flag("omega2", str, "1", FREQUENCY),
+        Flag("omega1", FREQUENCY, "2", ABOVE_0),
+        Flag("omega2", FREQUENCY, "1", ABOVE_0),
         Flag("nmax", int, 10, AT_LEAST_0),
         Flag("eq_nmax", int, 12, AT_LEAST_0),
-        Flag("omega_eq", str, "1", FREQUENCY), *_mode_tol("float", 1e-12))),
+        Flag("omega_eq", FREQUENCY, "1", ABOVE_0),
+        *_mode_tol("float", 1e-12))),
     ("verify", "identities"): (_cmd_verify_identities, (
         Flag("nmax", int, 14, AT_LEAST_0,
              help="verify the product expansion for all n+m <= nmax"),
         Flag("expmax", int, 20, AT_LEAST_0),
         Flag("mode", str, "rational", choices=("rational",)))),
     ("verify", "commutator"): (_cmd_verify_commutator, (
-        Flag("omegas", str, "1,2", FREQUENCY),
+        Flag("omegas", FREQUENCY, "1,2", ABOVE_0, comma_list=True),
         *_mode_tol("rational", 1e-12))),
     ("verify", "maps"): (_cmd_verify_maps, (
-        Flag("pairs", str, "3:1,2:1",
+        Flag("pairs", PAIR, "3:1,2:1", ABOVE_0, comma_list=True,
              help="comma-separated omega1:omega2 pairs"),
         Flag("random_pairs", int, 0, AT_LEAST_0),
         Flag("seed", int, 20259),
@@ -621,10 +601,11 @@ COMMANDS = {
         Flag("tol", float, None, AT_LEAST_0,
              help="default 0 in rational mode, 1e-12 in float mode"))),
     ("verify", "descendants"): (_cmd_verify_descendants, (
-        Flag("omega", str, "1", FREQUENCY), *_mode_tol("float", 1e-12))),
+        Flag("omega", FREQUENCY, "1", ABOVE_0), *_mode_tol("float", 1e-12))),
     ("continuum", "residual"): (_cmd_continuum_residual, (
         Flag("l", int, 0), Flag("k", float, 1.0),
-        Flag("omega", float, 1.0, ABOVE_0), Flag("orders", str, "5,10,20"),
+        Flag("omega", float, 1.0, ABOVE_0),
+        Flag("orders", int, "5,10,20", AT_LEAST_1, comma_list=True),
         Flag("ratio_tol", float, 1e-6, AT_LEAST_0))),
     ("spectrum", "density"): (_cmd_spectrum_density, (
         Flag("omega1", float, math.sqrt(2), ABOVE_0),
@@ -636,11 +617,12 @@ COMMANDS = {
         Flag("tol", float, 1e-14, AT_LEAST_0))),
     ("gram", "limit"): (_cmd_gram_limit, (
         Flag("level", int, 1, AT_LEAST_0),
-        Flag("deltas", str, "0.5,0.1,0.02"),
+        Flag("deltas", float, "0.5,0.1,0.02", ABOVE_0, comma_list=True),
         Flag("base_omega", float, 1.0, ABOVE_0))),
     ("classical", "run"): (_cmd_classical_run, (
         *_classical_common(),
-        Flag("ic", str, required=True, help="comma-separated 4 components"),
+        Flag("ic", float, required=True, comma_list=True,
+             help="comma-separated 4 components"),
         Flag("t_end", float, None, ABOVE_0, required=True),
         Flag("tol_energy", float, 1e-6, AT_LEAST_0),
         Flag("csv", str, help="trajectory CSV path"))),
@@ -650,7 +632,8 @@ COMMANDS = {
         Flag("cells", int, 9, AT_LEAST_1),
         Flag("t_probe", float, 60.0, ABOVE_0), Flag("out_grid", str))),
     ("classical", "envelope"): (_cmd_classical_envelope, (
-        *_classical_common(), Flag("ic", str, required=True),
+        *_classical_common(),
+        Flag("ic", float, required=True, comma_list=True),
         Flag("t_end", float, 500.0, ABOVE_0),
         Flag("window", float, 25.0, ABOVE_0),
         Flag("min_correlation", float, 0.9))),
@@ -690,11 +673,12 @@ def build_parser(chosen: tuple | None = None) -> argparse.ArgumentParser:
             groups[group] = subparsers(top.add_parser(group), "what", (
                 w for g, w in COMMANDS if g == group))
         p = groups[group].add_parser(what)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=functools.partial(_run, handler, flags))
         for f in (_OUT, *flags):
-            p.add_argument(f.name, type=f.type, default=f.default,
-                           choices=f.choices, help=f.help,
-                           required=f.required)
+            read = f.comma_list or f.type in (FREQUENCY, PAIR)
+            p.add_argument(f.name, type=str if read else f.type,
+                           default=f.default, choices=f.choices,
+                           help=f.help, required=f.required)
     return parser
 
 
@@ -730,33 +714,45 @@ def _config_flags(argv: list) -> list:
     return rest[:2] + flags + rest[2:]
 
 
-def _finite(x) -> bool:
-    """Whether ``x``, a float or a Fraction, is finite as a float."""
+def _as_float(x) -> float:
+    """``x`` as a float, infinite if it lies beyond the float range."""
     try:
-        return math.isfinite(x)
-    except OverflowError:   # a Fraction beyond the float range
-        return False
+        return float(x)
+    except OverflowError:   # a Fraction or an int
+        return math.inf if x > 0 else -math.inf
 
 
-def _check_inputs(args):
-    """Reject each flag value of the chosen subcommand outside its declared
-    range, naming the flag.  Flags are checked in table order, and each
-    entry of a frequency list in turn."""
-    param = Field(getattr(args, "mode", None) == "rational").param
-    for f in COMMANDS[args.group, args.what][1]:
+def _run(handler, flags, args) -> Report:
+    """Read each of ``flags`` that argparse left as text, check each value
+    against its range, naming the flag, in table order; run ``handler``."""
+    frequency = Field(getattr(args, "mode", None) == "rational").param
+    for f in flags:
         value = getattr(args, f.dest)
-        if value is None:
+        if value is None or f.type is str:
             continue
-        bound, entries = f.range, [(value, value)]
-        if bound == FREQUENCY:
-            bound = ABOVE_0
-            entries = ((tok, _number(f.dest, tok, param))
-                       for tok in value.split(","))
-        for text, x in entries:
-            if isinstance(x, (float, Fraction)) and not _finite(x):
-                raise ValueError(f"{f.name} must be finite, got {text}")
-            if bound and not _BOUNDS[bound](x):
-                raise ValueError(f"{f.name} must be {bound}, got {text}")
+        texts, values = [value], [value]    # argparse converted it
+        if isinstance(value, str):
+            texts = value.split(",") if f.comma_list else [value]
+            values = [_read(f, tok, frequency) for tok in texts]
+            setattr(args, f.dest, values if f.comma_list else values[0])
+        for text, x in zip(texts, values):
+            for v in map(_as_float, x if f.type is PAIR else [x]):
+                if f.type is not int and not math.isfinite(v):
+                    raise ValueError(f"{f.name} must be finite, got {text}")
+                if f.range and not _BOUNDS[f.range](v):
+                    raise ValueError(f"{f.name} must be {f.range}, got {text}")
+    return handler(args)
+
+
+def _read(f: Flag, tok: str, frequency):
+    """One entry of ``f``'s text, read with ``frequency`` if a frequency."""
+    if f.type is PAIR:
+        halves = tok.split(":")
+        if len(halves) != 2:
+            raise ValueError(f"{f.name} must be omega1:omega2 pairs, "
+                             f"got {tok!r}")
+        return tuple(_number(f.dest, x, frequency) for x in halves)
+    return _number(f.dest, tok, frequency if f.type is FREQUENCY else f.type)
 
 
 def main(argv=None) -> int:
@@ -775,7 +771,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:   # argparse has printed the usage or the help
         return 2 if exc.code else 0
     try:
-        _check_inputs(args)
         report = args.handler(args)
     except (ValueError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -202,12 +202,11 @@ def commutator_check(omega, exact: bool = False) -> float:
 
 def _residual(op: DiffOp, fn: ExpPolyFn, energy_value, relative: bool = True) -> float:
     """Max coefficient norm of (op - E) fn, over that of E fn if E fn != 0."""
-    out = op.apply(fn)
-    shifted = out.poly - fn.poly * energy_value
-    r = shifted.max_norm()
+    scaled = fn.poly * energy_value
+    r = (op.apply(fn).poly - scaled).max_norm()
     if not relative:
         return r
-    scale = (fn.poly * energy_value).max_norm()
+    scale = scaled.max_norm()
     return r / scale if scale > 0 else r
 
 

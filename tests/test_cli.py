@@ -202,9 +202,9 @@ JORDAN_OVERFLOW = ("--a, --b and --t overflow a float: "
     (("verify", "maps", "--pairs", "3:x"),
      "--pairs must be a rational number, got 'x'"),
     (("verify", "maps", "--mode", "float", "--pairs", "inf:1"),
-     "--pairs must be > 0 and finite, got inf:1"),
+     "--pairs must be finite, got inf:1"),
     (("verify", "maps", "--pairs", "3:1,0:1"),
-     "--pairs must be > 0 and finite, got 0:1"),
+     "--pairs must be > 0, got 0:1"),
     (("classical", "run", "--system", "pu", "--omega1", "2", "--omega2", "1",
       "--ic", "1,2,x,0", "--t-end", "5"), "--ic must be a real number, got 'x'"),
     (("continuum", "residual", "--orders", "5,x"),
@@ -212,18 +212,43 @@ JORDAN_OVERFLOW = ("--a, --b and --t overflow a float: "
     (("gram", "limit", "--deltas", "0.5,x"),
      "--deltas must be a real number, got 'x'"),
     (("gram", "limit", "--deltas", ","),
-     "--deltas needs at least one value, got ','"),
+     "--deltas must be a real number, got ''"),
     (("jordan", "demo", "--a", "x"), "--a must be a complex number, got 'x'"),
     (("jordan", "demo", "--a", "1e308", "--b", "1e308"), JORDAN_OVERFLOW),
     (("jordan", "demo", "--b", "1e150", "--t", "1e200"), JORDAN_OVERFLOW),
     (("verify", "eigen", "--mode", "rational", "--omega1", "1e400"),
      "--omega1 must be finite, got 1e400"),
     (("verify", "maps", "--pairs", "1e400:1"),
-     "--pairs must be > 0 and finite, got 1e400:1"),
+     "--pairs must be finite, got 1e400:1"),
     (("verify", "maps", "--pairs", "3:1", "--random-pairs", "-1"),
      "--random-pairs must be >= 0, got -1"),
     (("gram", "limit", "--level", "-1"), "--level must be >= 0, got -1"),
     (("variational", "check", "--seed", "-1"), "--seed must be >= 0, got -1"),
+    # one value per frequency flag, every list entry parsed, ranges tested
+    # on the value as a float
+    (("verify", "eigen", "--omega1", "3,4"),
+     "--omega1 must be a real number, got '3,4'"),
+    (("verify", "descendants", "--mode", "rational", "--omega", "1,2"),
+     "--omega must be a rational number, got '1,2'"),
+    (("verify", "eigen", "--mode", "rational", "--omega1", "3", "--omega2",
+      "1e-400", "--nmax", "1"), "--omega2 must be > 0, got 1e-400"),
+    (("verify", "maps", "--pairs", "1e-400:1"),
+     "--pairs must be > 0, got 1e-400:1"),
+    (("gram", "limit", "--deltas", "inf"), "--deltas must be finite, got inf"),
+    (("gram", "limit", "--deltas", "0"), "--deltas must be > 0, got 0"),
+    (("continuum", "residual", "--orders", "0,2"),
+     "--orders must be >= 1, got 0"),
+    (("classical", "run", "--system", "pu", "--omega1", "2", "--omega2", "1",
+      "--ic", "1,0,0,0", "--t-end", "5", "--rtol=-1"),
+     "--rtol must be in (0, 1), got -1.0"),
+    (("classical", "scan", "--system", "pu_quartic", "--omega1", "1",
+      "--omega2", "1", "--atol", "1"), "--atol must be in (0, 1), got 1.0"),
+    (("classical", "run", "--system", "pu", "--omega1", "2", "--omega2", "1",
+      "--ic", "1,,0,0,0", "--t-end", "5"), "--ic must be a real number, got ''"),
+    (("gram", "limit", "--deltas", "0.5,,0.1"),
+     "--deltas must be a real number, got ''"),
+    (("verify", "maps", "--pairs", "3:1,,2:1"),
+     "--pairs must be omega1:omega2 pairs, got ''"),
 ])
 def test_invalid_inputs_name_the_flag(capsys, argv, message):
     assert main(list(argv)) == 2
@@ -262,8 +287,7 @@ INITIAL_STEP = ("no initial step size: the vector field at the initial "
 
 @pytest.mark.parametrize("argv, message", [
     (("classical", "run", "--system", "pu", "--omega1", "2", "--omega2", "1",
-      "--ic", "nan,0,0,0", "--t-end", "5"),
-     "initial state must be finite, got [nan, 0.0, 0.0, 0.0]"),
+      "--ic", "nan,0,0,0", "--t-end", "5"), "--ic must be finite, got nan"),
     (("classical", "run", "--system", "pu_quartic", "--omega1", "1",
       "--omega2", "1", "--alpha", "0.5", "--ic", "1e120,0,0,0",
       "--t-end", "5"), INITIAL_STEP),
