@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__, dynamics, spectra, variational
 from .phasespace import (MAP_NAMES, SYSTEMS, build_hamiltonian, build_map,
                          transform_equals, verify_symplectic)
-from .polyalg import Field, MultiPoly, hermite
+from .polyalg import Field, MultiPoly, hermite_table
 from .spectra import SpectrumParams
 
 
@@ -152,8 +152,7 @@ def _cmd_verify_positive(args) -> Report:
                          spectra.XY, exact)
     o_xy = spectra.build_operator("O_xy", omega1=om, omega2=om, exact=exact)
     worst_eq = 0.0
-    for n in range(args.eq_nmax + 1):
-        hn = hermite(n, z)
+    for n, hn in enumerate(hermite_table(args.eq_nmax, z)):
         dev = (o_xy.apply(hn) - hn * (om * (n + 1))).max_norm()
         worst_eq = max(worst_eq, dev)
     rep.add("equal-frequency-xy-eigenvalues", "equal-frequency-limit",
@@ -163,13 +162,10 @@ def _cmd_verify_positive(args) -> Report:
     # not N+1; recorded, never asserted against the spectrum
     o_eq = spectra.build_operator("O_eq", omega=om, exact=exact)
     zvar = MultiPoly.var("z", ("z",), exact)
-    factors = []
-    for n in range(1, args.eq_nmax + 1):
-        hn = hermite(n, zvar)
-        dev = (o_eq.apply(hn) - hn * (om * (2 * n + 1))).max_norm()
-        factors.append(dev)
+    worst_z = max((o_eq.apply(hn) - hn * (om * (2 * n + 1))).max_norm()
+                  for n, hn in enumerate(hermite_table(args.eq_nmax, zvar)))
     rep.add("z-form-eigenvalue-2n-plus-1 (informational)",
-            "equal-frequency-limit", max(factors), None, True)
+            "equal-frequency-limit", worst_z, None, True)
     return rep
 
 
@@ -741,6 +737,9 @@ def _run(handler, flags, args) -> Report:
                     raise ValueError(f"{f.name} must be finite, got {text}")
                 if f.range and not _BOUNDS[f.range](v):
                     raise ValueError(f"{f.name} must be {f.range}, got {text}")
+            if f.type is PAIR and not x[0] > x[1]:
+                raise ValueError(f"{f.name} must be omega1 > omega2, "
+                                 f"got {text}")
     return handler(args)
 
 

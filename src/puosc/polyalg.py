@@ -635,23 +635,25 @@ class DiffOp(_TermMap):
 # named operations
 # ---------------------------------------------------------------------------
 
-def hermite(n: int, arg: MultiPoly) -> MultiPoly:
-    """Physicists' Hermite polynomial H_n evaluated at a linear form.
+def hermite_table(k: int, arg: MultiPoly) -> list[MultiPoly]:
+    """Physicists' Hermite polynomials [H_0, ..., H_k] at a linear form.
 
-    Uses H_0 = 1, H_1 = 2z and H_{n+1} = 2 z H_n - 2 n H_{n-1}; the result
-    is expanded over the argument's registry and is exact in rational mode.
+    One pass of H_0 = 1, H_1 = 2z and H_{n+1} = 2 z H_n - 2 n H_{n-1}; each
+    entry is expanded over the argument's registry, exact in rational mode.
     """
-    if n < 0:
+    if k < 0:
         raise ValueError("Hermite index must be nonnegative")
-    if n > 0 and arg.is_zero():
+    if k > 0 and arg.is_zero():
         raise ValueError("Hermite argument must have a nonzero coefficient")
-    one = MultiPoly.const(1, arg.vars, arg.exact)
-    if n == 0:
-        return one
-    prev, cur = one, arg * 2
-    for k in range(1, n):
-        prev, cur = cur, arg * cur * 2 - prev * (2 * k)
-    return cur
+    table = [MultiPoly.const(1, arg.vars, arg.exact), arg * 2]
+    for n in range(1, k):
+        table.append(arg * table[n] * 2 - table[n - 1] * (2 * n))
+    return table[:k + 1]
+
+
+def hermite(n: int, arg: MultiPoly) -> MultiPoly:
+    """Physicists' Hermite polynomial H_n evaluated at a linear form."""
+    return hermite_table(n, arg)[n]
 
 
 def exp_diff_apply(op: DiffOp, scale, p: MultiPoly) -> MultiPoly:

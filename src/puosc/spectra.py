@@ -20,7 +20,7 @@ import numpy as np
 
 from .exact import Exact
 from .polyalg import (DiffOp, ExpPolyFn, Field, MultiPoly, exp_diff_apply,
-                      hermite, quad_exponent)
+                      hermite, hermite_table, quad_exponent)
 
 QX = ("q", "x")
 QXT = ("q", "x", "t")
@@ -254,8 +254,8 @@ class _Family:
         else:
             raise ValueError(f"unknown eigenfunction kind {kind!r}")
         self.exact = f.exact
-        self.h_first = [hermite(j, first) for j in range(kmax + 1)]
-        self.h_second = [hermite(j, second) for j in range(kmax + 1)]
+        self.h_first = hermite_table(kmax, first)
+        self.h_second = hermite_table(kmax, second)
 
     def poly(self, n: int, m: int) -> MultiPoly:
         """Member (n, m).  For n >= m, with F and S the two tables,
@@ -418,8 +418,8 @@ def continuum_eigenfunction(l: int, k: float, omega: float,
     else:
         sign_l = 1
     jmax = l + truncation
-    hz = [hermite(j, z) for j in range(jmax + 1)]
-    hw = [hermite(j, w) for j in range(truncation + 1)]
+    hz = hermite_table(jmax, z)
+    hw = hermite_table(truncation, w)
     total = MultiPoly.zero(QX)
     for m in range(truncation + 1):
         c = (1j * kk ** 2 / om) ** m / (4.0 ** (2 * m + l)
@@ -446,7 +446,7 @@ def hermite_sum_identity(n: int, m: int) -> bool:
         raise ValueError("indices must be nonnegative")
     zz = ("z",)
     z = MultiPoly.var("z", zz, exact=True)
-    table = [hermite(j, z) for j in range(n + m + 1)]
+    table = hermite_table(n + m, z)
     lhs = table[n + m]
     rhs = MultiPoly.zero(zz, exact=True)
     for j in range(min(n, m) + 1):

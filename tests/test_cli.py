@@ -249,6 +249,14 @@ JORDAN_OVERFLOW = ("--a, --b and --t overflow a float: "
      "--deltas must be a real number, got ''"),
     (("verify", "maps", "--pairs", "3:1,,2:1"),
      "--pairs must be omega1:omega2 pairs, got ''"),
+    (("verify", "maps", "--pairs", "1:3"),
+     "--pairs must be omega1 > omega2, got 1:3"),
+    (("verify", "maps", "--mode", "float", "--pairs", "1:3"),
+     "--pairs must be omega1 > omega2, got 1:3"),
+    (("verify", "maps", "--pairs", "3:1,2:2"),
+     "--pairs must be omega1 > omega2, got 2:2"),
+    (("verify", "maps", "--mode", "float", "--pairs", "2:2"),
+     "--pairs must be omega1 > omega2, got 2:2"),
 ])
 def test_invalid_inputs_name_the_flag(capsys, argv, message):
     assert main(list(argv)) == 2
@@ -563,6 +571,15 @@ def test_main_builds_only_the_chosen_subcommand(capsys, monkeypatch):
     # -h of puosc, puosc verify and puosc verify eigen, then their flags
     assert added == ["--help", "--config", "--help", "--help", "--out",
                      "--omega1", "--omega2", "--nmax", "--mode", "--tol"]
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_equal_frequency_limit_from_n_0(capsys, mode):
+    code, report = run_cli(capsys, "verify", "positive", "--nmax", "1",
+                           "--eq-nmax", "0", "--mode", mode)
+    assert code == 0
+    z_form = [c for c in report["checks"] if "z-form" in c["name"]]
+    assert [c["value"] for c in z_form] == [0.0]
 
 
 def test_informational_z_form_entry(capsys):

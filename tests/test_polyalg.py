@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from puosc.exact import Exact
 from puosc.polyalg import (DiffOp, ExpPolyFn, Field, MultiPoly,
                            VariableMismatchError, exp_diff_apply, hermite,
-                           quad_exponent)
+                           hermite_table, quad_exponent)
 from puosc.spectra import build_operator
 
 Z = ("z",)
@@ -42,9 +42,26 @@ def test_hermite_against_numpy_expansion(n):
 
 def test_hermite_recurrence_exact_up_to_20():
     z = zvar(exact=True)
-    table = [hermite(n, z) for n in range(21)]
+    table = hermite_table(20, z)
+    assert len(table) == 21
     for n in range(1, 20):
         assert table[n + 1] == z * table[n] * 2 - table[n - 1] * (2 * n)
+
+
+def test_hermite_table_is_one_pass(monkeypatch):
+    # index-by-index rebuilding would take about 66 polynomial products
+    products = []
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        if isinstance(other, MultiPoly):
+            products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    arg = MultiPoly.linear({"q": 2.0, "x": 0.5j}, QX)
+    assert len(hermite_table(12, arg)) == 13
+    assert len(products) <= 12
 
 
 def test_hermite_of_linear_form_degree():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from puosc.exact import Exact
-from puosc.polyalg import DiffOp, Field, MultiPoly, hermite, quad_exponent
+from puosc.polyalg import (DiffOp, Field, MultiPoly, hermite, hermite_table,
+                           quad_exponent)
 from puosc.spectra import (QX, XY, EqualFrequencyError, SpectrumParams,
                            build_operator, commutator_check,
                            continuum_eigenfunction, degenerate_level,
@@ -390,13 +391,13 @@ def test_gram_builds_hermite_tables_once_per_delta(monkeypatch):
     from puosc import spectra
     calls = []
 
-    def counted(n, arg):
-        calls.append(n)
-        return hermite(n, arg)
+    def counted(k, arg):
+        calls.append(k)
+        return hermite_table(k, arg)
 
-    monkeypatch.setattr(spectra, "hermite", counted)
+    monkeypatch.setattr(spectra, "hermite_table", counted)
     gram_minimum_singular_values(3, [0.5, 0.1])
-    assert sorted(calls) == sorted(list(range(4)) * 4)
+    assert calls == [3, 3, 3, 3]     # H_0..H_3 at both arguments, per delta
 
 
 def test_gram_strictly_decreasing():
