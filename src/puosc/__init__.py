@@ -17,14 +17,37 @@ from .spectra import (EigenResult, EqualFrequencyError, SpectrumParams,
                       energy, exp_hermite_identity, free_descendant,
                       gram_minimum_singular_values, hermite_sum_identity,
                       jordan_norm_sq)
-from .dynamics import (CollapseVerdict, SystemSpec, Trajectory,
-                       detect_collapse, envelope_growth,
-                       estimate_escape_time, fourth_order_residual,
-                       hamilton_rhs, integrate, make_system, stability_scan,
-                       write_trajectory_csv)
-from .variational import (AnsatzParams, UnboundednessCertificate,
-                          energy_closed_form, energy_quadrature, gradient,
-                          unbounded_search)
+
+# dynamics (and numpy, which it imports) and variational load on first use
+# of one of their names, so that importing the package stays cheap
+_LAZY = {name: module for module, names in (
+    ("dynamics", ("CollapseVerdict", "SystemSpec", "Trajectory",
+                  "detect_collapse", "envelope_growth", "estimate_escape_time",
+                  "fourth_order_residual", "hamilton_rhs", "integrate",
+                  "make_system", "stability_scan", "write_trajectory_csv")),
+    ("variational", ("AnsatzParams", "UnboundednessCertificate",
+                     "energy_closed_form", "energy_quadrature", "gradient",
+                     "unbounded_search")),
+) for name in (module, *names)}
+
+
+def __getattr__(name):
+    """Import the submodule that holds ``name`` on first use (PEP 562)."""
+    import importlib
+
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "Exact", "Field", "MultiPoly", "quad_exponent", "ExpPolyFn", "DiffOp",

@@ -26,11 +26,12 @@ import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from . import __version__, dynamics, spectra, variational
-from .phasespace import (MAP_NAMES, SYSTEMS, build_hamiltonian, build_map,
-                         transform_equals, verify_symplectic)
+# numpy, dynamics and variational are imported by the handlers that use
+# them, so that a verify, continuum or spectrum command starts without them
+from . import __version__, spectra
+from .phasespace import (CLASSICAL_SYSTEMS, MAP_NAMES, SYSTEMS,
+                         build_hamiltonian, build_map, transform_equals,
+                         verify_symplectic)
 from .polyalg import Field, MultiPoly, hermite_table
 from .spectra import SpectrumParams
 
@@ -319,6 +320,8 @@ def _cmd_spectrum_density(args) -> Report:
 
 
 def _cmd_jordan_demo(args) -> Report:
+    import numpy as np
+
     a = _number("a", args.a, complex)
     b = _number("b", args.b, complex)
     for flag, z in (("--a", a), ("--b", b)):
@@ -362,15 +365,17 @@ def _cmd_gram_limit(args) -> Report:
 # classical subcommands
 # ---------------------------------------------------------------------------
 
-def _system_from_args(args) -> dynamics.SystemSpec:
-    params = {p: getattr(args, p) for p in SYSTEMS[args.system].params}
-    missing = [f"--{p}" for p, v in params.items() if v is None]
-    if missing:
-        raise ValueError(f"{args.system} needs {' and '.join(missing)}")
-    return dynamics.make_system(args.system, **params)
+def _system_from_args(args):
+    """The ``dynamics.SystemSpec`` of ``--system`` and its parameters."""
+    from . import dynamics
+
+    return dynamics.make_system(args.system, **{
+        p: getattr(args, p) for p in SYSTEMS[args.system].params})
 
 
 def _cmd_classical_run(args) -> Report:
+    from . import dynamics
+
     spec = _system_from_args(args)
     traj, verdict = dynamics.integrate(spec, args.ic, args.t_end,
                                        rtol=args.rtol, atol=args.atol)
@@ -395,6 +400,10 @@ def _cmd_classical_run(args) -> Report:
 
 
 def _cmd_classical_scan(args) -> Report:
+    import numpy as np
+
+    from . import dynamics
+
     spec = _system_from_args(args)
     grid = np.linspace(-args.extent, args.extent, args.cells)
     res = dynamics.stability_scan(spec, grid, grid, args.t_probe,
@@ -427,6 +436,8 @@ def _cmd_classical_scan(args) -> Report:
 
 
 def _cmd_classical_envelope(args) -> Report:
+    from . import dynamics
+
     spec = _system_from_args(args)
     traj, verdict = dynamics.integrate(spec, args.ic, args.t_end,
                                        rtol=args.rtol, atol=args.atol)
@@ -453,6 +464,10 @@ def _cmd_classical_envelope(args) -> Report:
 # ---------------------------------------------------------------------------
 
 def _cmd_variational_check(args) -> Report:
+    import numpy as np
+
+    from . import variational
+
     rep = Report("variational check", {
         "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
         "omega": args.omega, "sets": args.sets, "seed": args.seed,
@@ -481,6 +496,8 @@ def _cmd_variational_check(args) -> Report:
 
 
 def _fd_gradient(p, h=1e-5):
+    from . import variational
+
     base = {"A": p.A, "B": p.B, "C": p.C, "alpha": p.alpha, "beta": p.beta,
             "gamma": p.gamma, "omega": p.omega}
     out = []
@@ -496,6 +513,8 @@ def _fd_gradient(p, h=1e-5):
 
 
 def _cmd_variational_descend(args) -> Report:
+    from . import variational
+
     rep = Report("variational descend", {
         "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
         "omega": args.omega, "threshold": args.threshold})
@@ -527,11 +546,40 @@ _BOUNDS = {AT_LEAST_0: lambda x: x >= 0, ABOVE_0: lambda x: x > 0,
 FREQUENCY, PAIR = "frequency", "pair"
 
 
+def _system_params(args):
+    missing = [f"--{p}" for p in SYSTEMS[args.system].params
+               if getattr(args, p) is None]
+    if missing:
+        raise ValueError(f"{args.system} needs {' and '.join(missing)}")
+
+
+def _omega_order(args):
+    if not args.omega1 > args.omega2:
+        raise ValueError(f"--omega1 must be > --omega2, got {args.omega1} "
+                         f"and {args.omega2}")
+
+
+def _ic_length(args):
+    n = len(SYSTEMS[args.system].vars)
+    if len(args.ic) != n:
+        raise ValueError(f"--ic must have {n} components for --system "
+                         f"{args.system}, got {len(args.ic)}")
+
+
+def _window_count(args):
+    # the fewest windows dynamics.envelope_growth fits, known before the run
+    if not args.t_end / args.window >= 10:
+        raise ValueError(f"--t-end must be >= 10 * --window, got {args.t_end} "
+                         f"and {args.window}")
+
+
 @dataclass(frozen=True)
 class Flag:
     """One option of a subcommand, spelled ``--dest`` with dashes.  Of the
     kinds of value in ``type``, argparse converts int, float and str, and
-    ``_run`` reads FREQUENCY, PAIR and, with ``comma_list``, lists of any."""
+    ``_run`` reads FREQUENCY, PAIR and, with ``comma_list``, lists of any.
+    ``across(args)`` checks the value against other flags once every flag
+    is read and in range."""
     dest: str
     type: object
     default: object = None
@@ -540,6 +588,7 @@ class Flag:
     help: str | None = None
     required: bool = False
     comma_list: bool = False
+    across: object = None
 
     @property
     def name(self) -> str:
@@ -558,8 +607,8 @@ def _mode_tol(mode: str, tol: float) -> tuple:
 
 
 def _classical_common(rtol: float = 1e-10, atol: float = 1e-12) -> tuple:
-    return (Flag("system", str, choices=dynamics.CLASSICAL_SYSTEMS,
-                 required=True),
+    return (Flag("system", str, choices=CLASSICAL_SYSTEMS, required=True,
+                 across=_system_params),
             *(Flag(om, float, None, ABOVE_0)
               for om in ("omega1", "omega2", "omega")),
             *_COUPLINGS, Flag("lam", float, 0.0),
@@ -571,11 +620,11 @@ def _classical_common(rtol: float = 1e-10, atol: float = 1e-12) -> tuple:
 COMMANDS = {
     ("verify", "eigen"): (_cmd_verify_eigen, (
         Flag("omega1", FREQUENCY, "3", ABOVE_0),
-        Flag("omega2", FREQUENCY, "1", ABOVE_0),
+        Flag("omega2", FREQUENCY, "1", ABOVE_0, across=_omega_order),
         Flag("nmax", int, 8, AT_LEAST_0), *_mode_tol("float", 1e-9))),
     ("verify", "positive"): (_cmd_verify_positive, (
         Flag("omega1", FREQUENCY, "2", ABOVE_0),
-        Flag("omega2", FREQUENCY, "1", ABOVE_0),
+        Flag("omega2", FREQUENCY, "1", ABOVE_0, across=_omega_order),
         Flag("nmax", int, 10, AT_LEAST_0),
         Flag("eq_nmax", int, 12, AT_LEAST_0),
         Flag("omega_eq", FREQUENCY, "1", ABOVE_0),
@@ -618,7 +667,7 @@ COMMANDS = {
     ("classical", "run"): (_cmd_classical_run, (
         *_classical_common(),
         Flag("ic", float, required=True, comma_list=True,
-             help="comma-separated 4 components"),
+             help="comma-separated 4 components", across=_ic_length),
         Flag("t_end", float, None, ABOVE_0, required=True),
         Flag("tol_energy", float, 1e-6, AT_LEAST_0),
         Flag("csv", str, help="trajectory CSV path"))),
@@ -629,9 +678,9 @@ COMMANDS = {
         Flag("t_probe", float, 60.0, ABOVE_0), Flag("out_grid", str))),
     ("classical", "envelope"): (_cmd_classical_envelope, (
         *_classical_common(),
-        Flag("ic", float, required=True, comma_list=True),
+        Flag("ic", float, required=True, comma_list=True, across=_ic_length),
         Flag("t_end", float, 500.0, ABOVE_0),
-        Flag("window", float, 25.0, ABOVE_0),
+        Flag("window", float, 25.0, ABOVE_0, across=_window_count),
         Flag("min_correlation", float, 0.9))),
     ("variational", "check"): (_cmd_variational_check, (
         *_VARIATIONAL, Flag("sets", int, 10, AT_LEAST_1),
@@ -720,7 +769,8 @@ def _as_float(x) -> float:
 
 def _run(handler, flags, args) -> Report:
     """Read each of ``flags`` that argparse left as text, check each value
-    against its range, naming the flag, in table order; run ``handler``."""
+    against its range, naming the flag, in table order; then check the
+    flags' constraints across flags, and run ``handler``."""
     frequency = Field(getattr(args, "mode", None) == "rational").param
     for f in flags:
         value = getattr(args, f.dest)
@@ -740,6 +790,9 @@ def _run(handler, flags, args) -> Report:
             if f.type is PAIR and not x[0] > x[1]:
                 raise ValueError(f"{f.name} must be omega1 > omega2, "
                                  f"got {text}")
+    for f in flags:
+        if f.across:
+            f.across(args)
     return handler(args)
 
 

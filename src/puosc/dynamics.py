@@ -21,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .phasespace import SYSTEMS, PhasePoly, build_hamiltonian, poisson_bracket
+from .phasespace import (CLASSICAL_SYSTEMS, PhasePoly, build_hamiltonian,
+                         poisson_bracket)
 from .polyalg import MultiPoly, to_complex
 
 # Dormand-Prince 5(4) tableau.
@@ -43,8 +44,6 @@ _D = (-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
 
 AMPLITUDE_LIMIT = 1e8
 UNDERFLOW_FACTOR = 1e-14
-
-CLASSICAL_SYSTEMS = tuple(n for n, s in SYSTEMS.items() if s.classical)
 
 
 # ---------------------------------------------------------------------------

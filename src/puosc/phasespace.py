@@ -361,6 +361,7 @@ SYSTEMS = {
     "robert_gamma": System(("omega", "lam", "gamma"), *_ROBERT, True),
 }
 HAMILTONIAN_NAMES = tuple(SYSTEMS)
+CLASSICAL_SYSTEMS = tuple(n for n, s in SYSTEMS.items() if s.classical)
 
 
 def build_hamiltonian(name: str, *, omega1=None, omega2=None, omega=None,

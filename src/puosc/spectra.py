@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .exact import Exact
 from .polyalg import (DiffOp, ExpPolyFn, Field, MultiPoly, exp_diff_apply,
                       hermite, hermite_table, quad_exponent)
@@ -480,6 +478,9 @@ def gram_minimum_singular_values(level: int, deltas, base_omega=1.0) -> list[flo
     The family {phi_nm : n+m = N} collapses onto a single polynomial as
     delta -> 0, so the reported values decrease toward zero.
     """
+    # imported on first use: no other spectra function needs numpy
+    import numpy as np
+
     if level < 0:
         raise ValueError("level must be nonnegative")
     out = []

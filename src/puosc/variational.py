@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .polyalg import ExpPolyFn, MultiPoly, quad_exponent
 from .spectra import QX, build_operator
 
@@ -54,6 +52,9 @@ def energy_quadrature(p: AnsatzParams, level: int = 24) -> float:
     exact for the resulting polynomial degree once ``level`` exceeds half
     the degree.
     """
+    # imported on first use: the closed form and the search need no numpy
+    import numpy as np
+
     if level < 5:
         raise ValueError("quadrature level must be at least 5")
     exponent = quad_exponent({

@@ -257,6 +257,23 @@ JORDAN_OVERFLOW = ("--a, --b and --t overflow a float: "
      "--pairs must be omega1 > omega2, got 2:2"),
     (("verify", "maps", "--mode", "float", "--pairs", "2:2"),
      "--pairs must be omega1 > omega2, got 2:2"),
+    # constraints across flags, checked after every flag's own range
+    (("classical", "run", "--system", "pu", "--omega1", "2", "--omega2", "1",
+      "--ic", "1,0,0", "--t-end", "5"),
+     "--ic must have 4 components for --system pu, got 3"),
+    (("classical", "envelope", "--system", "pu", "--omega1", "2", "--omega2",
+      "1", "--ic", "1,0,0,0", "--t-end", "5"),
+     "--t-end must be >= 10 * --window, got 5.0 and 25.0"),
+    (("verify", "eigen", "--omega1", "1", "--omega2", "1"),
+     "--omega1 must be > --omega2, got 1.0 and 1.0"),
+    (("verify", "eigen", "--omega1", "1", "--omega2", "3"),
+     "--omega1 must be > --omega2, got 1.0 and 3.0"),
+    (("verify", "positive", "--mode", "rational", "--omega1", "1",
+      "--omega2", "1"), "--omega1 must be > --omega2, got 1 and 1"),
+    (("verify", "positive", "--mode", "rational", "--omega1", "1",
+      "--omega2", "3"), "--omega1 must be > --omega2, got 1 and 3"),
+    (("verify", "eigen", "--omega1", "1", "--omega2", "3", "--nmax", "-1"),
+     "--nmax must be >= 0, got -1"),
 ])
 def test_invalid_inputs_name_the_flag(capsys, argv, message):
     assert main(list(argv)) == 2
