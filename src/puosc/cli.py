@@ -28,11 +28,9 @@ from fractions import Fraction
 
 # numpy, dynamics and variational are imported by the handlers that use
 # them, so that a verify, continuum or spectrum command starts without them
-from . import __version__, spectra
-from .phasespace import (CLASSICAL_SYSTEMS, MAP_NAMES, SYSTEMS,
-                         build_hamiltonian, build_map, transform_equals,
-                         verify_symplectic)
-from .polyalg import Field, MultiPoly, hermite_table
+from . import __version__, phasespace, spectra
+from .phasespace import CLASSICAL_SYSTEMS, SYSTEMS
+from .polyalg import Field
 from .spectra import SpectrumParams
 
 
@@ -136,7 +134,6 @@ def _cmd_verify_eigen(args) -> Report:
 def _cmd_verify_positive(args) -> Report:
     tol = args.tol
     exact = args.mode == "rational"
-    f = Field(exact)
     params = SpectrumParams(args.omega1, args.omega2)
     om = args.omega_eq
     rep = Report("verify positive", {
@@ -148,23 +145,12 @@ def _cmd_verify_positive(args) -> Report:
     rep.add("positive-family-residuals", "positive-realization-polynomials",
             worst, tol, worst <= tol)
 
-    # equal-frequency limit in the (x, y) operator form
-    z = MultiPoly.linear({"x": f.sqrt(om), "y": f.sqrt(om) * f.num(om)},
-                         spectra.XY, exact)
-    o_xy = spectra.build_operator("O_xy", omega1=om, omega2=om, exact=exact)
-    worst_eq = 0.0
-    for n, hn in enumerate(hermite_table(args.eq_nmax, z)):
-        dev = (o_xy.apply(hn) - hn * (om * (n + 1))).max_norm()
-        worst_eq = max(worst_eq, dev)
+    worst_eq, worst_z = spectra.equal_frequency_deviations(
+        om, args.eq_nmax, exact=exact)
     rep.add("equal-frequency-xy-eigenvalues", "equal-frequency-limit",
             worst_eq, tol, worst_eq <= tol)
-
     # informational: the single-variable operator form scales as 2N+1,
     # not N+1; recorded, never asserted against the spectrum
-    o_eq = spectra.build_operator("O_eq", omega=om, exact=exact)
-    zvar = MultiPoly.var("z", ("z",), exact)
-    worst_z = max((o_eq.apply(hn) - hn * (om * (2 * n + 1))).max_norm()
-                  for n, hn in enumerate(hermite_table(args.eq_nmax, zvar)))
     rep.add("z-form-eigenvalue-2n-plus-1 (informational)",
             "equal-frequency-limit", worst_z, None, True)
     return rep
@@ -212,44 +198,16 @@ def _random_rational_pairs(count: int, seed: int):
 
 def _cmd_verify_maps(args) -> Report:
     exact = args.mode == "rational"
-    pairs = args.pairs
-    if args.random_pairs:
-        if not exact:
-            raise ValueError("random pairs are drawn as rationals; "
-                             "use --mode rational")
-        pairs = pairs + _random_rational_pairs(args.random_pairs, args.seed)
+    pairs = args.pairs + _random_rational_pairs(args.random_pairs, args.seed)
     # float arithmetic cannot promise exact zeros
     tol = args.tol if args.tol is not None else 0.0 if exact else 1e-12
     rep = Report("verify maps", {
         "pairs": [[float(a), float(b)] for a, b in pairs],
         "mode": args.mode, "tol": tol,
         "random_pairs": args.random_pairs, "seed": args.seed})
-    maps = [{name: build_map(name, om1, exact=exact) if name == "rotation"
-             else build_map(name, om1, om2, exact=exact) for name in MAP_NAMES}
-            for om1, om2 in pairs]
-    worst_sym = 0.0
-    for pair_maps in maps:
-        for m in pair_maps.values():
-            worst_sym = max(worst_sym, verify_symplectic(m).max_deviation)
+    worst = phasespace.map_deviations(pairs, exact=exact)
     rep.add("all-maps-symplectic", "canonical-map-symplecticity",
-            worst_sym, tol, worst_sym <= tol)
-
-    worst = {"diag": 0.0, "rotation": 0.0, "complexified": 0.0}
-    for (om1, om2), m in zip(pairs, maps):
-        pu = build_hamiltonian("pu", omega1=om1, omega2=om2, exact=exact)
-        ghost = build_hamiltonian("pu_diag_ghost", omega1=om1, omega2=om2,
-                                  exact=exact)
-        worst["diag"] = max(worst["diag"],
-                            transform_equals(pu, m["diag"], ghost))
-        htild = build_hamiltonian("htild", omega=om1, exact=exact)
-        hprime = build_hamiltonian("hprime", omega=om1, exact=exact)
-        worst["rotation"] = max(worst["rotation"],
-                                transform_equals(htild, m["rotation"], hprime))
-        dpos = build_hamiltonian("diag_positive", omega1=om1, omega2=om2,
-                                 exact=exact)
-        rot = build_hamiltonian("rot", omega1=om1, omega2=om2, exact=exact)
-        worst["complexified"] = max(worst["complexified"], transform_equals(
-            dpos, m["complexified"], rot))
+            worst["symplectic"], tol, worst["symplectic"] <= tol)
     rep.add("ghost-form-diagonalization", "hamiltonian-diagonalization",
             worst["diag"], tol, worst["diag"] <= tol)
     rep.add("rotation-frame-equivalence", "rotation-frame-equivalence",
@@ -264,17 +222,9 @@ def _cmd_verify_descendants(args) -> Report:
     om = args.omega
     rep = Report("verify descendants", {"omega": float(om), "tol": args.tol,
                                         "mode": args.mode})
-    worst = 0.0
-    for order in (0, 1, 2):
-        fn = spectra.descendant(order, om, exact=exact)
-        worst = max(worst, spectra.descendant_time_residual(fn, om, exact=exact))
+    worst, worst_free = spectra.descendant_deviations(om, exact=exact)
     rep.add("jordan-level-descendants", "nonstationary-descendants",
             worst, args.tol, worst <= args.tol)
-    worst_free = 0.0
-    for order in spectra.FREE_DESCENDANT_ORDERS:
-        fn = spectra.free_descendant(order, exact=exact)
-        worst_free = max(worst_free,
-                         spectra.free_descendant_time_residual(fn, exact=exact))
     rep.add("free-particle-descendants", "free-particle-descendants",
             worst_free, args.tol, worst_free <= args.tol)
     return rep
@@ -286,9 +236,6 @@ def _cmd_verify_descendants(args) -> Report:
 
 def _cmd_continuum_residual(args) -> Report:
     orders = args.orders
-    if len(set(orders)) < 2:
-        raise ValueError("--orders needs at least two distinct orders, "
-                         f"got {','.join(map(str, orders))}")
     rep = Report("continuum residual", {
         "l": args.l, "k": args.k, "omega": args.omega, "orders": orders,
         "ratio_tol": args.ratio_tol})
@@ -320,8 +267,6 @@ def _cmd_spectrum_density(args) -> Report:
 
 
 def _cmd_jordan_demo(args) -> Report:
-    import numpy as np
-
     a = _number("a", args.a, complex)
     b = _number("b", args.b, complex)
     for flag, z in (("--a", a), ("--b", b)):
@@ -331,19 +276,14 @@ def _cmd_jordan_demo(args) -> Report:
     rep = Report("jordan demo", {"a": args.a, "b": args.b, "t": t,
                                  "tol": args.tol})
     try:
-        closed = abs(a - 1j * b * t) ** 2 + abs(b) ** 2
-        dev = abs(spectra.jordan_norm_sq(a, b, t, "euclidean") - closed)
-        devs = [abs(spectra.jordan_norm_sq(a, b, tt, "degenerate")
-                    - abs(b) ** 2) for tt in np.linspace(0.0, max(t, 1.0), 11)]
+        dev, dev_degenerate = spectra.jordan_deviations(a, b, t)
     except OverflowError:
-        closed = math.inf
-    if not math.isfinite(closed):
         raise ValueError("--a, --b and --t overflow a float: "
-                         "|a - i*b*t|^2 + |b|^2 is out of range")
+                         "|a - i*b*t|^2 + |b|^2 is out of range") from None
     rep.add("euclidean-norm-growth", "jordan-block-norm-growth",
             dev, args.tol, dev <= args.tol)
     rep.add("degenerate-metric-constancy", "degenerate-metric-unitarity",
-            max(devs), args.tol, max(devs) <= args.tol)
+            dev_degenerate, args.tol, dev_degenerate <= args.tol)
     return rep
 
 
@@ -366,23 +306,24 @@ def _cmd_gram_limit(args) -> Report:
 # ---------------------------------------------------------------------------
 
 def _system_from_args(args):
-    """The ``dynamics.SystemSpec`` of ``--system`` and its parameters."""
+    """The ``dynamics.SystemSpec`` of ``--system`` and its parameters, and
+    the report inputs that name them."""
     from . import dynamics
 
-    return dynamics.make_system(args.system, **{
+    spec = dynamics.make_system(args.system, **{
         p: getattr(args, p) for p in SYSTEMS[args.system].params})
+    return spec, {"system": args.system,
+                  "params": {k: float(v) for k, v in spec.params.items()}}
 
 
 def _cmd_classical_run(args) -> Report:
     from . import dynamics
 
-    spec = _system_from_args(args)
+    spec, inputs = _system_from_args(args)
     traj, verdict = dynamics.integrate(spec, args.ic, args.t_end,
                                        rtol=args.rtol, atol=args.atol)
     rep = Report("classical run", {
-        "system": args.system, "params": {k: float(v)
-                                          for k, v in spec.params.items()},
-        "ic": args.ic, "t_end": args.t_end, "rtol": args.rtol,
+        **inputs, "ic": args.ic, "t_end": args.t_end, "rtol": args.rtol,
         "atol": args.atol, "tol_energy": args.tol_energy})
     rep.add("outcome", "classical-trajectory", verdict.outcome, None, True)
     if verdict.collapsed:
@@ -404,15 +345,13 @@ def _cmd_classical_scan(args) -> Report:
 
     from . import dynamics
 
-    spec = _system_from_args(args)
+    spec, inputs = _system_from_args(args)
     grid = np.linspace(-args.extent, args.extent, args.cells)
     res = dynamics.stability_scan(spec, grid, grid, args.t_probe,
                                   rtol=args.rtol, atol=args.atol)
     rep = Report("classical scan", {
-        "system": args.system, "params": {k: float(v)
-                                          for k, v in spec.params.items()},
-        "extent": args.extent, "cells": args.cells, "t_probe": args.t_probe,
-        "rtol": args.rtol})
+        **inputs, "extent": args.extent, "cells": args.cells,
+        "t_probe": args.t_probe, "rtol": args.rtol})
     i0 = int(np.argmin(np.abs(res.q_values)))
     j0 = int(np.argmin(np.abs(res.x_values)))
     rep.add("origin-cell-bounded", "stability-island",
@@ -438,13 +377,11 @@ def _cmd_classical_scan(args) -> Report:
 def _cmd_classical_envelope(args) -> Report:
     from . import dynamics
 
-    spec = _system_from_args(args)
+    spec, inputs = _system_from_args(args)
     traj, verdict = dynamics.integrate(spec, args.ic, args.t_end,
                                        rtol=args.rtol, atol=args.atol)
     rep = Report("classical envelope", {
-        "system": args.system, "params": {k: float(v)
-                                          for k, v in spec.params.items()},
-        "ic": args.ic, "t_end": args.t_end, "window": args.window,
+        **inputs, "ic": args.ic, "t_end": args.t_end, "window": args.window,
         "rtol": args.rtol, "min_correlation": args.min_correlation})
     rep.add("outcome", "classical-trajectory", verdict.outcome, None,
             not verdict.collapsed)
@@ -464,52 +401,19 @@ def _cmd_classical_envelope(args) -> Report:
 # ---------------------------------------------------------------------------
 
 def _cmd_variational_check(args) -> Report:
-    import numpy as np
-
     from . import variational
 
     rep = Report("variational check", {
         "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
         "omega": args.omega, "sets": args.sets, "seed": args.seed,
         "tol": args.tol})
-    rng = np.random.default_rng(args.seed)
-    worst_e = 0.0
-    worst_g = 0.0
-    for _ in range(args.sets):
-        a, c = rng.uniform(0.3, 4.0, 2)
-        b = rng.uniform(-2.0, 2.0)
-        p = variational.AnsatzParams(a, b, c, alpha=args.alpha,
-                                     beta=args.beta, gamma=args.gamma,
-                                     omega=args.omega)
-        e1 = variational.energy_closed_form(p)
-        e2 = variational.energy_quadrature(p)
-        worst_e = max(worst_e, abs(e1 - e2) / max(1.0, abs(e1)))
-        grad = variational.gradient(p)
-        fd = _fd_gradient(p)
-        for gi, fi in zip(grad, fd):
-            worst_g = max(worst_g, abs(gi - fi) / max(1.0, abs(gi)))
+    worst_e, worst_g = variational.check_draws(
+        args.alpha, args.beta, args.gamma, args.omega, args.sets, args.seed)
     rep.add("closed-form-vs-quadrature", "variational-energy-formula",
             worst_e, args.tol, worst_e <= args.tol)
     rep.add("gradient-vs-finite-differences", "variational-gradient",
             worst_g, args.tol, worst_g <= args.tol)
     return rep
-
-
-def _fd_gradient(p, h=1e-5):
-    from . import variational
-
-    base = {"A": p.A, "B": p.B, "C": p.C, "alpha": p.alpha, "beta": p.beta,
-            "gamma": p.gamma, "omega": p.omega}
-    out = []
-    for name in ("A", "B", "C"):
-        up = dict(base)
-        dn = dict(base)
-        up[name] += h
-        dn[name] -= h
-        e_up = variational.energy_closed_form(variational.AnsatzParams(**up))
-        e_dn = variational.energy_closed_form(variational.AnsatzParams(**dn))
-        out.append((e_up - e_dn) / (2 * h))
-    return out
 
 
 def _cmd_variational_descend(args) -> Report:
@@ -518,8 +422,12 @@ def _cmd_variational_descend(args) -> Report:
     rep = Report("variational descend", {
         "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
         "omega": args.omega, "threshold": args.threshold})
-    cert = variational.unbounded_search(args.alpha, args.beta, args.gamma,
-                                        args.omega, args.threshold)
+    try:
+        cert = variational.unbounded_search(args.alpha, args.beta, args.gamma,
+                                            args.omega, args.threshold)
+    except ArithmeticError as err:      # the two-ramp search found no path
+        raise ValueError("--alpha, --beta, --gamma, --omega and --threshold "
+                         f"admit no certificate: {err}") from None
     rep.add("terminal-energy", "energy-unbounded-below",
             cert.terminal_energy, args.threshold,
             cert.terminal_energy <= args.threshold)
@@ -540,8 +448,10 @@ def _cmd_variational_descend(args) -> Report:
 # a flag's range, tested on each value as a float; every value that is not
 # an int must also be finite as a float
 AT_LEAST_0, ABOVE_0, AT_LEAST_1, IN_0_1 = ">= 0", "> 0", ">= 1", "in (0, 1)"
+BELOW_0 = "< 0"
 _BOUNDS = {AT_LEAST_0: lambda x: x >= 0, ABOVE_0: lambda x: x > 0,
-           AT_LEAST_1: lambda x: x >= 1, IN_0_1: lambda x: 0 < x < 1}
+           AT_LEAST_1: lambda x: x >= 1, IN_0_1: lambda x: 0 < x < 1,
+           BELOW_0: lambda x: x < 0}
 # kinds read in the subcommand's --mode: a frequency, or omega1:omega2
 FREQUENCY, PAIR = "frequency", "pair"
 
@@ -551,6 +461,22 @@ def _system_params(args):
                if getattr(args, p) is None]
     if missing:
         raise ValueError(f"{args.system} needs {' and '.join(missing)}")
+    # the regime in which the V1 system's bounded behaviour is claimed
+    if args.system == "diag_ghost_plus_V1" and not args.lam > 0:
+        raise ValueError(f"--lam must be > 0 for --system {args.system}, "
+                         f"got {args.lam}")
+
+
+def _rational_draws(args):
+    if args.random_pairs and args.mode != "rational":
+        raise ValueError("--random-pairs needs --mode rational, got --mode "
+                         f"{args.mode}: the pairs are drawn as rationals")
+
+
+def _distinct_orders(args):
+    if len(set(args.orders)) < 2:
+        raise ValueError("--orders needs at least two distinct orders, "
+                         f"got {','.join(map(str, args.orders))}")
 
 
 def _omega_order(args):
@@ -640,7 +566,7 @@ COMMANDS = {
     ("verify", "maps"): (_cmd_verify_maps, (
         Flag("pairs", PAIR, "3:1,2:1", ABOVE_0, comma_list=True,
              help="comma-separated omega1:omega2 pairs"),
-        Flag("random_pairs", int, 0, AT_LEAST_0),
+        Flag("random_pairs", int, 0, AT_LEAST_0, across=_rational_draws),
         Flag("seed", int, 20259),
         Flag("mode", str, "rational", choices=_MODES),
         Flag("tol", float, None, AT_LEAST_0,
@@ -650,7 +576,8 @@ COMMANDS = {
     ("continuum", "residual"): (_cmd_continuum_residual, (
         Flag("l", int, 0), Flag("k", float, 1.0),
         Flag("omega", float, 1.0, ABOVE_0),
-        Flag("orders", int, "5,10,20", AT_LEAST_1, comma_list=True),
+        Flag("orders", int, "5,10,20", AT_LEAST_1, comma_list=True,
+             across=_distinct_orders),
         Flag("ratio_tol", float, 1e-6, AT_LEAST_0))),
     ("spectrum", "density"): (_cmd_spectrum_density, (
         Flag("omega1", float, math.sqrt(2), ABOVE_0),
@@ -687,7 +614,7 @@ COMMANDS = {
         Flag("seed", int, 42, AT_LEAST_0),
         Flag("tol", float, 1e-6, AT_LEAST_0))),
     ("variational", "descend"): (_cmd_variational_descend, (
-        *_VARIATIONAL, Flag("threshold", float, -1e6),
+        *_VARIATIONAL, Flag("threshold", float, -1e6, BELOW_0),
         Flag("cert", str, help="certificate JSON path"))),
 }
 

@@ -16,6 +16,7 @@ command line read the same table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 from .polyalg import (Field, MultiPoly, VariableMismatchError, as_coeff,
@@ -429,6 +430,33 @@ def transform_equals(h: PhasePoly, m: CanonicalMap, target: PhasePoly) -> float:
     """Max coefficient deviation of h with m substituted from target."""
     transformed = h.poly.subs(m.substitutions)
     return transformed.max_diff(target.poly)
+
+
+# map name -> (Hamiltonian, its image under the map)
+TRANSPORTS = {"diag": ("pu", "pu_diag_ghost"),
+              "rotation": ("htild", "hprime"),
+              "complexified": ("diag_positive", "rot")}
+
+
+def map_deviations(pairs, exact: bool = False) -> dict:
+    """Worst deviations over the ``(omega1, omega2)`` pairs: ``symplectic``,
+    of every map of :data:`MAP_NAMES` from canonicity, and one per map of
+    :data:`TRANSPORTS`, of its Hamiltonian transported through it from the
+    image.  The rotation map is taken at omega1."""
+    maps = [{n: build_map(n, om1, None if n == "rotation" else om2, exact)
+             for n in MAP_NAMES} for om1, om2 in pairs]
+    symplectic = (verify_symplectic(m).max_deviation
+                  for pair_maps in maps for m in pair_maps.values())
+    worst = {"symplectic": reduce(max, symplectic, 0.0),
+             **dict.fromkeys(TRANSPORTS, 0.0)}
+    for (om1, om2), pair_maps in zip(pairs, maps):
+        # each Hamiltonian takes the frequencies its SYSTEMS entry lists
+        given = {"omega1": om1, "omega2": om2, "omega": om1, "exact": exact}
+        for name, (source, image) in TRANSPORTS.items():
+            worst[name] = max(worst[name], transform_equals(
+                build_hamiltonian(source, **given), pair_maps[name],
+                build_hamiltonian(image, **given)))
+    return worst
 
 
 @dataclass

@@ -15,6 +15,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 from .exact import Exact
 from .polyalg import (DiffOp, ExpPolyFn, Field, MultiPoly, exp_diff_apply,
@@ -216,6 +217,14 @@ def _ghost_arguments(om1, om2, f: Field):
             MultiPoly.linear({"q": s2 * f.num(om1), "x": f.i * s2}, QX, f.exact))
 
 
+def _positive_arguments(om1, om2, f: Field):
+    """Hermite arguments of the positive family: sqrt(w1) (x + w2 y) and
+    sqrt(w2) (x + w1 y)."""
+    s1, s2 = f.sqrt(om1), f.sqrt(om2)
+    return (MultiPoly.linear({"x": s1, "y": s1 * f.num(om2)}, XY, f.exact),
+            MultiPoly.linear({"x": s2, "y": s2 * f.num(om1)}, XY, f.exact))
+
+
 class _Family:
     """The ghost or positive family at one frequency pair.
 
@@ -242,10 +251,7 @@ class _Family:
             }, QX, exact)
             self.vars, self.operator = QX, "H_pu"
         elif kind == "positive":
-            first = MultiPoly.linear(
-                {"x": sqrt(om1), "y": sqrt(om1) * num(om2)}, XY, exact)
-            second = MultiPoly.linear(
-                {"x": sqrt(om2), "y": sqrt(om2) * num(om1)}, XY, exact)
+            first, second = _positive_arguments(om1, om2, f)
             self.lam = -(num(om1 + om2) * sqrt(1 / (om1 * om2))
                          * num(f.frac(1, 4)))
             self.vars, self.operator, self.kernel = XY, "O_xy", None
@@ -318,6 +324,26 @@ def degenerate_level(level: int, omega, exact: bool = False) -> EigenResult:
                        {"level": level, "kind": "degenerate"})
 
 
+def equal_frequency_deviations(omega, nmax: int, exact: bool = False):
+    """Worst eigenvalue deviations of the Hermite polynomials H_n, n <= nmax,
+    at equal frequencies: under O_xy at sqrt(w) (x + w y), against w(n+1),
+    and under the single-variable O_eq at z, against w(2n+1)."""
+    f = Field(exact)
+    (om,) = f.frequencies("equal_frequency_deviations", ("omega",),
+                          omega=omega)
+
+    def deviations(op, arg, k):     # of op H_n(arg) from w (k n + 1) H_n(arg)
+        return (_residual(op, ExpPolyFn(hn), om * (k * n + 1), relative=False)
+                for n, hn in enumerate(hermite_table(nmax, arg)))
+
+    xy_arg = _positive_arguments(om, om, f)[0]
+    o_xy = build_operator("O_xy", omega1=om, omega2=om, exact=exact)
+    worst_xy = reduce(max, deviations(o_xy, xy_arg, 1), 0.0)
+    z = MultiPoly.var("z", ("z",), exact)
+    o_eq = build_operator("O_eq", omega=om, exact=exact)
+    return worst_xy, max(deviations(o_eq, z, 2))
+
+
 # ---------------------------------------------------------------------------
 # non-stationary descendants
 # ---------------------------------------------------------------------------
@@ -386,6 +412,18 @@ def free_descendant(order: int, exact: bool = False) -> ExpPolyFn:
 def free_descendant_time_residual(fn: ExpPolyFn, exact: bool = False) -> float:
     return _time_residual(fn, build_operator("H_free_particle", exact=exact),
                           exact)
+
+
+def descendant_deviations(omega, exact: bool = False):
+    """Worst time-equation residuals of the oscillator descendants at
+    ``omega`` and of the free-particle descendants."""
+    oscillator = (descendant_time_residual(descendant(k, omega, exact=exact),
+                                           omega, exact=exact)
+                  for k in (0, 1, 2))
+    free = (free_descendant_time_residual(free_descendant(k, exact=exact),
+                                          exact=exact)
+            for k in FREE_DESCENDANT_ORDERS)
+    return reduce(max, oscillator, 0.0), reduce(max, free, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -525,3 +563,18 @@ def jordan_norm_sq(a: complex, b: complex, t: float,
     if metric == "degenerate":
         return abs(psi2) ** 2
     raise ValueError(f"unknown metric {metric!r}")
+
+
+def jordan_deviations(a: complex, b: complex, t: float):
+    """Deviation of the euclidean norm at ``t`` from |a - i b t|^2 + |b|^2,
+    and the worst deviation of the degenerate norm from |b|^2 at 11 times
+    in [0, max(t, 1)].  Raises OverflowError if the closed form is not a
+    finite float."""
+    import numpy as np
+
+    closed = abs(a - 1j * b * t) ** 2 + abs(b) ** 2
+    if not math.isfinite(closed):
+        raise OverflowError("|a - i*b*t|^2 + |b|^2 is out of range")
+    return (abs(jordan_norm_sq(a, b, t, "euclidean") - closed),
+            max(abs(jordan_norm_sq(a, b, tt, "degenerate") - abs(b) ** 2)
+                for tt in np.linspace(0.0, max(t, 1.0), 11)))

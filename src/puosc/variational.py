@@ -9,7 +9,7 @@ produces certificates that the energy has no lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .polyalg import ExpPolyFn, MultiPoly, quad_exponent
 from .spectra import QX, build_operator
@@ -93,6 +93,35 @@ def gradient(p: AnsatzParams) -> tuple[float, float, float]:
     dc = (0.25 + b / (2 * c * c) - 3 * p.gamma / (2 * c ** 3)
           - p.beta / (4 * a * c * c))
     return (da, db, dc)
+
+
+def _fd_gradient(p: AnsatzParams, h: float = 1e-5) -> list:
+    """Central differences of the closed form in A, B and C."""
+    def e(name, dx):
+        return energy_closed_form(replace(p, **{name: getattr(p, name) + dx}))
+
+    return [(e(name, h) - e(name, -h)) / (2 * h) for name in ("A", "B", "C")]
+
+
+def check_draws(alpha: float, beta: float, gamma: float, omega: float,
+                sets: int, seed: int) -> tuple[float, float]:
+    """Worst relative deviations over ``sets`` seeded draws of (A, B, C):
+    of the closed form from the quadrature, and of the analytic gradient
+    from central differences."""
+    # imported on first use: the closed form and the search need no numpy
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    worst_e = worst_g = 0.0
+    for _ in range(sets):
+        a, c = rng.uniform(0.3, 4.0, 2)
+        b = rng.uniform(-2.0, 2.0)
+        p = AnsatzParams(a, b, c, alpha, beta, gamma, omega)
+        e1, e2 = energy_closed_form(p), energy_quadrature(p)
+        worst_e = max(worst_e, abs(e1 - e2) / max(1.0, abs(e1)))
+        for gi, fi in zip(gradient(p), _fd_gradient(p)):
+            worst_g = max(worst_g, abs(gi - fi) / max(1.0, abs(gi)))
+    return worst_e, worst_g
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import shlex
 
 import pytest
@@ -274,6 +275,19 @@ JORDAN_OVERFLOW = ("--a, --b and --t overflow a float: "
       "--omega2", "3"), "--omega1 must be > --omega2, got 1 and 3"),
     (("verify", "eigen", "--omega1", "1", "--omega2", "3", "--nmax", "-1"),
      "--nmax must be >= 0, got -1"),
+    (("verify", "maps", "--random-pairs", "2", "--mode", "float"),
+     "--random-pairs needs --mode rational, got --mode float: the pairs are "
+     "drawn as rationals"),
+    (("variational", "descend", "--threshold", "1"),
+     "--threshold must be < 0, got 1.0"),
+    (("variational", "descend", "--threshold", "0"),
+     "--threshold must be < 0, got 0.0"),
+    (("classical", "run", "--system", "diag_ghost_plus_V1", "--omega1", "2",
+      "--omega2", "1", "--ic", "1,0,0,0", "--t-end", "1"),
+     "--lam must be > 0 for --system diag_ghost_plus_V1, got 0.0"),
+    (("variational", "descend", "--alpha=-1"),
+     "--alpha, --beta, --gamma, --omega and --threshold admit no "
+     "certificate: descent stalled; both ramps failed to lower the energy"),
 ])
 def test_invalid_inputs_name_the_flag(capsys, argv, message):
     assert main(list(argv)) == 2
@@ -560,6 +574,14 @@ def reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
+def names_a_flag(argv, err) -> bool:
+    """``err`` names a flag of the subcommand of ``argv`` (whole, so --omega
+    does not match --omega1), or holds argparse's usage text."""
+    _, flags = COMMANDS[tuple(argv[:2])]
+    return "usage: puosc" in err or any(
+        re.search(re.escape(f.name) + r"(?![\w-])", err) for f in flags)
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(contract_argv())
@@ -573,6 +595,8 @@ def test_cli_exit_code_contract(capsys, argv):
         assert (code == 1) == any(not c["pass"] for c in report["checks"])
     else:
         assert captured.out == ""
+    if code == 2:   # a library message that reaches the user names no flag
+        assert names_a_flag(argv, captured.err), captured.err
 
 
 def test_main_builds_only_the_chosen_subcommand(capsys, monkeypatch):

@@ -7,9 +7,9 @@ import pytest
 from puosc.exact import Exact
 from puosc.dynamics import CLASSICAL_SYSTEMS
 from puosc.phasespace import (DIAG_VARS, HAMILTONIAN_NAMES, PU_PAIRS, PU_VARS,
-                              SYSTEMS, CanonicalMap, PhasePoly,
-                              SingularMapError,
-                              build_hamiltonian, build_map, poisson_bracket,
+                              SYSTEMS, TRANSPORTS, CanonicalMap, PhasePoly,
+                              SingularMapError, build_hamiltonian, build_map,
+                              map_deviations, poisson_bracket,
                               transform_equals, transform_interaction,
                               verify_symplectic)
 from puosc.polyalg import MultiPoly, VariableMismatchError
@@ -233,6 +233,12 @@ def test_transport_triples_exact(om1, om2):
     rot = build_hamiltonian("rot", omega1=om1, omega2=om2, exact=True)
     assert transform_equals(dpos, build_map("complexified", om1, om2,
                                             exact=True), rot) == 0.0
+    # the library check: every map canonical, every transport exact
+    keys = {"symplectic", *TRANSPORTS}
+    assert map_deviations([(om1, om2)], exact=True) == dict.fromkeys(keys,
+                                                                     0.0)
+    floats = map_deviations([(float(om1), float(om2))])
+    assert set(floats) == keys and max(floats.values()) <= 1e-12
 
 
 def test_transport_triples_random_rational_pairs():

@@ -11,11 +11,12 @@ from puosc.polyalg import (DiffOp, Field, MultiPoly, hermite, hermite_table,
 from puosc.spectra import (QX, XY, EqualFrequencyError, SpectrumParams,
                            build_operator, commutator_check,
                            continuum_eigenfunction, degenerate_level,
-                           density_scan, descendant, descendant_time_residual,
-                           eigen_suite, energy, exp_hermite_identity,
+                           density_scan, descendant, descendant_deviations,
+                           descendant_time_residual, eigen_suite, energy,
+                           equal_frequency_deviations, exp_hermite_identity,
                            free_descendant, free_descendant_time_residual,
                            gram_minimum_singular_values, hermite_sum_identity,
-                           jordan_norm_sq)
+                           jordan_deviations, jordan_norm_sq)
 
 
 def member(kind, n, m, params, exact=False):
@@ -258,6 +259,13 @@ def test_equal_frequency_xy_eigenvalues():
     for n in range(13):
         hn = hermite(n, z)
         assert (o.apply(hn) - hn * (om * (n + 1))).max_norm() == 0.0
+    # the library check, in both forms: exact zeros in rational mode, also
+    # at 13/10, where float mode leaves round-off
+    for om in (Fraction(1), Fraction(13, 10)):
+        assert equal_frequency_deviations(om, 12, exact=True) == (0.0, 0.0)
+    assert equal_frequency_deviations(1.0, 12) == (0.0, 0.0)
+    with pytest.raises(ValueError, match="frequencies must be positive"):
+        equal_frequency_deviations(-1, 2, exact=True)
 
 
 def test_z_form_scales_as_two_n_plus_one():
@@ -295,6 +303,9 @@ def test_descendant_time_residuals(omega):
     for order in (0, 1, 2):
         fn = descendant(order, omega)
         assert descendant_time_residual(fn, omega) <= 1e-12
+    oscillator, free = descendant_deviations(omega)
+    assert oscillator <= 1e-12 and free <= 1e-12
+    assert descendant_deviations(Fraction(omega), exact=True) == (0.0, 0.0)
 
 
 def test_free_descendants():
@@ -421,6 +432,11 @@ def test_jordan_norms():
             == pytest.approx(abs(b) ** 2)
     with pytest.raises(ValueError):
         jordan_norm_sq(0, 1, 1.0, "indefinite")
+    euclidean, degenerate = jordan_deviations(0.7 - 0.2j, 1.1 + 0.4j, 4.2)
+    assert euclidean <= 1e-14 and degenerate <= 1e-14
+    for a, b, t in ((1e308, 1e308, 2.0), (0, 1e150, 1e200)):
+        with pytest.raises(OverflowError):
+            jordan_deviations(a, b, t)
 
 
 def test_jordan_solution_satisfies_schroedinger():

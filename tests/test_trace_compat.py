@@ -2,7 +2,10 @@
 
 ``perfbench/layers.py`` looks each name up when it installs; a renamed or
 deleted name there breaks ``perfbench/run.py --trace 1``.  This test installs
-the tracer in a fresh interpreter and runs one traced command.
+the tracer in a fresh interpreter and runs commands whose checks live in
+``spectra``, ``phasespace`` and ``variational``: each report must come out
+the same with and without the wrappers, and the library functions the
+checks call must show up as spans.
 """
 
 import subprocess
@@ -15,14 +18,30 @@ ROOT = Path(__file__).resolve().parent.parent
 LAYERS = ROOT / "perfbench" / "layers.py"
 
 SCRIPT = """
-import sys
+import contextlib, io, sys
 sys.path[:0] = [{src!r}, {perfbench!r}]
 import layers
 from puosc import cli
+
+COMMANDS = (["verify", "commutator", "--omegas", "1"], ["verify", "positive"],
+            ["verify", "maps"], ["jordan", "demo"],
+            ["variational", "check", "--sets", "2"])
+
+def stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0, argv
+    return out.getvalue()
+
+untraced = [stdout(argv) for argv in COMMANDS]
 tracer = layers.Tracer()
 tracer.install()
-assert cli.main(["verify", "commutator", "--omegas", "1"]) == 0
-assert "polyalg.DiffOp.commutator" in tracer.names
+assert [stdout(argv) for argv in COMMANDS] == untraced
+# install names every wrapper; a span of that name shows it was called
+spans = {{tracer.names[i] for i in tracer.name}}
+for name in ("polyalg.DiffOp.commutator", "phasespace.transform_equals",
+             "variational.energy_closed_form"):
+    assert name in spans, name
 """
 
 

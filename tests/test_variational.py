@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from puosc.variational import (AnsatzParams, energy_closed_form,
-                               energy_quadrature, gradient,
+from puosc.variational import (AnsatzParams, _fd_gradient, check_draws,
+                               energy_closed_form, energy_quadrature, gradient,
                                unbounded_search)
 
 
@@ -53,6 +53,9 @@ def test_seeded_random_agreement():
         p = AnsatzParams(a, b, c, alpha=al, beta=be, gamma=ga, omega=om)
         e1, e2 = energy_closed_form(p), energy_quadrature(p)
         assert abs(e1 - e2) <= 1e-6 * max(1.0, abs(e1))
+    for couplings in ((0.0, 0.0, 0.0), (0.5, 0.7, 0.2)):
+        worst_e, worst_g = check_draws(*couplings, 1.3, 10, 42)
+        assert worst_e <= 1e-6 and worst_g <= 1e-6
 
 
 def test_gradient_reference_values():
@@ -71,6 +74,7 @@ def test_gradient_matches_finite_differences():
         al, be, ga = rng.uniform(0.0, 1.0, 3)
         p = AnsatzParams(a, b, c, alpha=al, beta=be, gamma=ga, omega=1.3)
         grad = gradient(p)
+        fds = _fd_gradient(p, h)
         for idx, name in enumerate(("A", "B", "C")):
             base = dict(A=a, B=b, C=c, alpha=al, beta=be, gamma=ga, omega=1.3)
             up, dn = dict(base), dict(base)
@@ -79,6 +83,7 @@ def test_gradient_matches_finite_differences():
             fd = (energy_closed_form(AnsatzParams(**up))
                   - energy_closed_form(AnsatzParams(**dn))) / (2 * h)
             assert abs(grad[idx] - fd) <= 1e-6 * max(1.0, abs(grad[idx]))
+            assert fds[idx] == fd
 
 
 def test_certificate_short_threshold():
