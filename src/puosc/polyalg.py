@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .exact import Exact
@@ -62,6 +63,14 @@ def coeff_is_zero(c) -> bool:
     if isinstance(c, Exact):
         return c.is_zero
     return abs(c) < PRUNE_EPS
+
+
+def _drop_zeros(terms: dict, keys) -> dict:
+    """``terms``, with the zero coefficients at ``keys`` deleted in place."""
+    for key in keys:
+        if key in terms and coeff_is_zero(terms[key]):
+            del terms[key]
+    return terms
 
 
 def to_complex(c) -> complex:
@@ -103,10 +112,6 @@ class Field:
         if not all(given[p] > 0 for p in need):
             raise ValueError("frequencies must be positive")
         return [self.param(v) if p in need else None for p, v in given.items()]
-
-
-def _mono_add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _unit(name, vars: tuple, e: int = 1) -> tuple:
@@ -155,11 +160,29 @@ class _TermMap:
                         summed.append(key)
                     else:
                         clean[key] = c
-        # only sums can cancel: every other coefficient was tested above
-        for key in summed:
-            if key in clean and coeff_is_zero(clean[key]):
-                del clean[key]
-        self.terms = clean
+        self.terms = _drop_zeros(clean, summed)
+
+    @classmethod
+    def _built(cls, vars: tuple, terms: dict, exact: bool, summed=None):
+        """A value of ``terms`` that an operation of this module built from
+        valid values, so each key already has the registry's width.
+
+        Only coefficients that can vanish are zero-tested: those at the
+        keys in ``summed``, or every one when ``summed`` is None.  That is
+        the case of products: a float product can underflow, and most keys
+        of a product are sums, so testing each is cheaper than tracking
+        which.  ``terms`` is kept, not copied.
+        """
+        if summed is not None:
+            terms = _drop_zeros(terms, summed)
+        elif exact:
+            terms = {k: c for k, c in terms.items() if not c.is_zero}
+        else:
+            # not abs(c) < PRUNE_EPS, so that a NaN is kept, as coeff_is_zero does
+            terms = {k: c for k, c in terms.items() if not abs(c) < PRUNE_EPS}
+        self = object.__new__(cls)
+        self.vars, self.terms, self.exact = vars, terms, exact
+        return self
 
     @classmethod
     def zero(cls, vars, exact: bool = False):
@@ -191,17 +214,26 @@ class _TermMap:
     def _plus(self, other):
         self._check(other)
         out = dict(self.terms)
+        summed = []
         for key, c in other.terms.items():
-            out[key] = out[key] + c if key in out else c
-        return type(self)(self.vars, out, self.exact)
+            if key in out:
+                out[key] = out[key] + c
+                summed.append(key)
+            else:
+                out[key] = c
+        return self._built(self.vars, out, self.exact, summed)
 
     def _scaled(self, c):
-        return type(self)(self.vars, {k: v * c for k, v in self.terms.items()},
-                          self.exact)
+        if not self.exact:      # a float product can underflow
+            return self._built(self.vars,
+                               {k: v * c for k, v in self.terms.items()}, False)
+        # a product of nonzero Exact values is never zero
+        terms = {} if c.is_zero else {k: v * c for k, v in self.terms.items()}
+        return self._built(self.vars, terms, True, ())
 
     def __neg__(self):
-        return type(self)(self.vars, {k: -c for k, c in self.terms.items()},
-                          self.exact)
+        return self._built(self.vars, {k: -c for k, c in self.terms.items()},
+                           self.exact, ())
 
     def embed(self, new_vars):
         """Widen to a superset registry (explicit, never implicit)."""
@@ -308,12 +340,14 @@ class MultiPoly(_TermMap):
         if isinstance(other, MultiPoly):
             self._check(other)
             out = {}
+            add = operator.add
+            right = other.terms.items()
             for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    mono = _mono_add(m1, m2)
+                for m2, c2 in right:
+                    mono = tuple(map(add, m1, m2))
                     c = c1 * c2
                     out[mono] = out[mono] + c if mono in out else c
-            return MultiPoly(self.vars, out, self.exact)
+            return MultiPoly._built(self.vars, out, self.exact)
         try:
             c = as_coeff(other, self.exact)
         except TypeError:
@@ -349,16 +383,11 @@ class MultiPoly(_TermMap):
         if name not in self.vars:
             raise VariableMismatchError(f"{name!r} not in registry {self.vars}")
         i = self.vars.index(name)
-        out = {}
-        for mono, c in self.terms.items():
-            e = mono[i]
-            if e:
-                m = list(mono)
-                m[i] = e - 1
-                mono2 = tuple(m)
-                c2 = c * e
-                out[mono2] = out[mono2] + c2 if mono2 in out else c2
-        return MultiPoly(self.vars, out, self.exact)
+        # lowering one exponent maps distinct keys to distinct keys, so no
+        # two terms meet; and c * e with e >= 1 cannot vanish
+        out = {mono[:i] + (mono[i] - 1,) + mono[i + 1:]: c * mono[i]
+               for mono, c in self.terms.items() if mono[i]}
+        return MultiPoly._built(self.vars, out, self.exact, ())
 
     def subs(self, mapping: dict) -> "MultiPoly":
         """Substitute every variable by a polynomial over a common registry."""
@@ -422,7 +451,7 @@ def quad_exponent(entries: dict, vars, exact: bool = False) -> MultiPoly:
     vars = tuple(vars)
     terms = {}
     for (a, b), value in entries.items():
-        mono = _mono_add(_unit(a, vars), _unit(b, vars))
+        mono = tuple(map(operator.add, _unit(a, vars), _unit(b, vars)))
         c = as_coeff(value, exact)
         terms[mono] = terms[mono] + c if mono in terms else c
     return MultiPoly(vars, terms, exact)
@@ -567,11 +596,13 @@ class DiffOp(_TermMap):
         n = len(self.vars)
         right = [(key2[:n], key2, c2) for key2, c2 in other.terms.items()]
         out = {}
+        add, sub = operator.add, operator.sub
         for key1, c1 in self.terms.items():
             d1 = key1[n:]
             for m2, key2, c2 in right:
                 # commute d1 past m2 variable by variable
                 ranges = [range(min(d, m) + 1) for d, m in zip(d1, m2)]
+                base = tuple(map(add, key1, key2))
                 for k in itertools.product(*ranges):
                     factor = 1
                     for kv, nv, mv in zip(k, d1, m2):
@@ -579,10 +610,9 @@ class DiffOp(_TermMap):
                             factor *= math.factorial(kv) * math.comb(nv, kv) \
                                 * math.comb(mv, kv)
                     c = c1 * c2 * factor
-                    key = tuple(a + b - kv
-                                for a, b, kv in zip(key1, key2, k + k))
+                    key = tuple(map(sub, base, k + k))
                     out[key] = out[key] + c if key in out else c
-        return DiffOp(self.vars, out, self.exact)
+        return DiffOp._built(self.vars, out, self.exact)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

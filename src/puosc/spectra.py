@@ -230,7 +230,8 @@ class _Family:
 
     Holds the two Hermite tables up to ``kmax``, the coupling ``lam`` of the
     double-Hermite sum, the registry, the Gaussian kernel and the name of
-    the operator the members are eigenfunctions of.
+    the operator the members are eigenfunctions of.  Members share their
+    Hermite products: each is computed once per family.
     """
 
     def __init__(self, kind: str, params: SpectrumParams, kmax: int,
@@ -260,6 +261,17 @@ class _Family:
         self.exact = f.exact
         self.h_first = hermite_table(kmax, first)
         self.h_second = hermite_table(kmax, second)
+        self._products = {}
+
+    def _product(self, swapped: bool, a: int, b: int) -> MultiPoly:
+        """F_a S_b, or S_a F_b when ``swapped``, computed once."""
+        key = (swapped, a, b)
+        if key not in self._products:
+            first, second = self.h_first, self.h_second
+            if swapped:
+                first, second = second, first
+            self._products[key] = first[a] * second[b]
+        return self._products[key]
 
     def poly(self, n: int, m: int) -> MultiPoly:
         """Member (n, m).  For n >= m, with F and S the two tables,
@@ -268,9 +280,9 @@ class _Family:
 
         and the same sum with the tables swapped otherwise.
         """
-        first, second = self.h_first, self.h_second
-        if n < m:
-            n, m, first, second = m, n, second, first
+        swapped = n < m
+        if swapped:
+            n, m = m, n
         fact = math.factorial
         total = MultiPoly.zero(self.vars, self.exact)
         for k in range(m + 1):
@@ -280,7 +292,7 @@ class _Family:
             else:
                 c = (self.lam ** k) * fact(m) * fact(n - m) \
                     / (fact(m - k) * fact(k) * fact(n - m + k))
-            total = total + first[n - m + k] * second[k] * c
+            total = total + self._product(swapped, n - m + k, k) * c
         return total
 
 

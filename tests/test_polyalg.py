@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -190,6 +191,62 @@ def test_keys_that_collapse_are_summed_and_pruned():
         (1,): one * 2}
     assert MultiPoly(Z, {(1,): one, range(1, 2): -one}, True).terms == {}
     assert DiffOp(Z, {(1, 0): 1.0, range(1, -1, -1): -1.0}).terms == {}
+
+
+# ---------------------------------------------------------------------------
+# results of operations: a coefficient is dropped exactly when it vanishes
+# ---------------------------------------------------------------------------
+
+def test_float_products_that_underflow_are_pruned():
+    tiny = MultiPoly(QX, {(1, 0): 1e-160, (0, 1): 1.0})
+    # (1e-160 q + x)^2: the q^2 coefficient 1e-320 is below PRUNE_EPS
+    assert (tiny * tiny).terms == {(1, 1): 2e-160, (0, 2): 1.0}
+    assert (tiny * 1e-200).terms == {(0, 1): 1e-200 + 0j}
+    op = DiffOp(QX, {(1, 0, 0, 0): 1e-160, (0, 0, 0, 1): 1.0})
+    assert (op * op).terms == {(1, 0, 0, 1): 2e-160, (0, 0, 0, 2): 1.0}
+    assert (op * 1e-200).terms == {(0, 0, 0, 1): 1e-200 + 0j}
+
+
+def test_nan_coefficients_are_kept():
+    p = MultiPoly(QX, {(1, 0): math.nan, (0, 1): 1.0})
+    q = MultiPoly.var("q", QX)
+    for result, key in ((p * q, (2, 0)), (p * 0.0, (1, 0)), (p + p, (1, 0)),
+                        (-p, (1, 0)), (p.diff("q"), (0, 0))):
+        assert math.isnan(abs(result.terms[key]))
+    op = DiffOp.from_poly(p)
+    assert math.isnan(abs((op * DiffOp.derivative("x", QX)).terms[1, 0, 0, 1]))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_sums_that_cancel_drop_their_key(exact):
+    q, x = (MultiPoly.var(v, QX, exact) for v in QX)
+    p = q * 3 + x
+    assert (p + (-p)).terms == {}
+    assert ((p - q * 3) - x).terms == {}
+    # (q + x)(q - x) = q^2 - x^2: the q*x products cancel
+    assert set(((q + x) * (q - x)).terms) == {(2, 0), (0, 2)}
+    # (x + dx)(x - dx) = x^2 + 1 - dx^2: the x*dx terms cancel
+    cx, dx = DiffOp.coordinate("x", QX, exact), DiffOp.derivative("x", QX, exact)
+    assert set(((cx + dx) * (cx - dx)).terms) == {
+        (0, 2, 0, 0), (0, 0, 0, 0), (0, 0, 0, 2)}
+
+
+def test_exact_times_zero_is_the_empty_map():
+    p = MultiPoly.linear({"q": 2, "x": Fraction(1, 3)}, QX, True)
+    assert (p * 0).terms == {}
+    assert (p * Exact.rational(0)).terms == {}
+    assert (DiffOp.from_poly(p) * 0).terms == {}
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_public_constructors_check_the_key_width(exact):
+    one = Field(exact).num(1)
+    with pytest.raises(VariableMismatchError):
+        MultiPoly(QX, {(1,): one}, exact)
+    with pytest.raises(VariableMismatchError):
+        MultiPoly(QX, {(0, 0): one, (1, 0, 0): one}, exact)
+    with pytest.raises(VariableMismatchError):
+        DiffOp(QX, {(1, 0): one}, exact)
 
 
 # ---------------------------------------------------------------------------

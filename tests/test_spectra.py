@@ -151,6 +151,30 @@ def test_ghost_suite_small(pair):
     assert max(r.residual for r in results) <= 1e-9
 
 
+@pytest.mark.parametrize("kind", ["ghost", "positive"])
+def test_family_members_share_their_hermite_products(kind, monkeypatch):
+    from puosc.spectra import _Family
+    top = 5
+    family = _Family(kind, SpectrumParams(3, 1), top, exact=False)
+    products = []
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        if isinstance(other, MultiPoly):
+            products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    for n in range(top + 1):
+        for m in range(top + 1):
+            family.poly(n, m)
+    # member (n, m) sums F_{|n-m|+k} S_k over k <= min(n, m), tables swapped
+    # when n < m
+    pairs = {(n < m, abs(n - m) + k, k) for n in range(top + 1)
+             for m in range(top + 1) for k in range(min(n, m) + 1)}
+    assert len(products) == len(pairs)
+
+
 def test_eigen_suite_rejects_bad_requests():
     params = SpectrumParams(3.0, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
