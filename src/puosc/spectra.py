@@ -526,7 +526,11 @@ def gram_minimum_singular_values(level: int, deltas, base_omega=1.0) -> list[flo
     family at omega1 = base + delta, omega2 = base, one value per delta.
 
     The family {phi_nm : n+m = N} collapses onto a single polynomial as
-    delta -> 0, so the reported values decrease toward zero.
+    delta -> 0, so the reported values decrease toward zero.  With V the
+    matrix of normalised coefficient rows, the Gram matrix is V V^H, and
+    its smallest singular value is that of V squared.  It is computed from
+    V: forming V V^H squares the condition number, which floors the value
+    near the double round-off of 1e-16.
     """
     # imported on first use: no other spectra function needs numpy
     import numpy as np
@@ -549,9 +553,8 @@ def gram_minimum_singular_values(level: int, deltas, base_omega=1.0) -> list[flo
         for p in polys:
             v = np.array([complex(p.terms.get(m, 0.0)) for m in monos])
             vecs.append(v / np.linalg.norm(v))
-        vmat = np.array(vecs)
-        gram = vmat @ vmat.conj().T
-        out.append(float(np.linalg.svd(gram, compute_uv=False)[-1]))
+        smallest = np.linalg.svd(np.array(vecs), compute_uv=False)[-1]
+        out.append(float(smallest) ** 2)
     return out
 
 

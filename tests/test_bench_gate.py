@@ -29,7 +29,7 @@ DIGESTS = {
     "rational_verify":
         "8559d9c2310a301a6fb98b63a9d1a32b5e98e8dd1fa74c115c03dab427e147cb",
     "float_verify":
-        "154689ff04ba57585f90041bd08d16e9a5770e3b9f753b3899fd2fa04ad88be3",
+        "0041080db7d7aa1926bbf4a236a23864e33d5074144d8344f85f1e87b8892f34",
     "classical_orbits":
         "8ac92dc60563a7aa128d78befff1c6d4795e6b6e5d742156b16c6981d09bd699",
     "classical_scan":
