@@ -18,6 +18,8 @@ Everything downstream is built on three closed classes:
 constructor, sum, negation, scaling, embedding and repr.  Every key is one
 flat tuple of exponents: a polynomial term's exponent per variable, and an
 operator term's multiplication exponents followed by its derivative orders.
+Sums, differences, scalings, negations and the term sums of
+:meth:`DiffOp.apply` all run through one kernel, :meth:`_TermMap._add_to`.
 
 The registry of a value is fixed at construction.  Mixing registries (or
 mixing float and rational coefficients) raises
@@ -65,12 +67,13 @@ def coeff_is_zero(c) -> bool:
     return abs(c) < PRUNE_EPS
 
 
-def _drop_zeros(terms: dict, keys) -> dict:
-    """``terms``, with the zero coefficients at ``keys`` deleted in place."""
-    for key in keys:
-        if key in terms and coeff_is_zero(terms[key]):
-            del terms[key]
-    return terms
+def _pruned(terms: dict, exact: bool) -> dict:
+    """The nonzero terms of a product: a float product can underflow, and
+    most keys of a product are sums, so each coefficient is tested."""
+    if exact:
+        return {k: c for k, c in terms.items() if not c.is_zero}
+    # not abs(c) < PRUNE_EPS, so that a NaN is kept, as coeff_is_zero does
+    return {k: c for k, c in terms.items() if not abs(c) < PRUNE_EPS}
 
 
 def to_complex(c) -> complex:
@@ -146,7 +149,6 @@ class _TermMap:
         self.vars = tuple(vars)
         self.exact = bool(exact)
         clean = {}
-        summed = []
         if terms:
             width = len(self._PREFIXES) * len(self.vars)
             for key, c in terms.items():
@@ -154,32 +156,21 @@ class _TermMap:
                 if len(key) != width:
                     raise VariableMismatchError(
                         f"term {key} does not match registry {self.vars}")
-                if not coeff_is_zero(c):
-                    if key in clean:
-                        clean[key] = clean[key] + c
-                        summed.append(key)
-                    else:
-                        clean[key] = c
-        self.terms = _drop_zeros(clean, summed)
+                if coeff_is_zero(c):
+                    continue
+                if key in clean:        # a zero sum is deleted at once
+                    c = clean[key] + c
+                    if coeff_is_zero(c):
+                        del clean[key]
+                        continue
+                clean[key] = c
+        self.terms = clean
 
     @classmethod
-    def _built(cls, vars: tuple, terms: dict, exact: bool, summed=None):
-        """A value of ``terms`` that an operation of this module built from
-        valid values, so each key already has the registry's width.
-
-        Only coefficients that can vanish are zero-tested: those at the
-        keys in ``summed``, or every one when ``summed`` is None.  That is
-        the case of products: a float product can underflow, and most keys
-        of a product are sums, so testing each is cheaper than tracking
-        which.  ``terms`` is kept, not copied.
-        """
-        if summed is not None:
-            terms = _drop_zeros(terms, summed)
-        elif exact:
-            terms = {k: c for k, c in terms.items() if not c.is_zero}
-        else:
-            # not abs(c) < PRUNE_EPS, so that a NaN is kept, as coeff_is_zero does
-            terms = {k: c for k, c in terms.items() if not abs(c) < PRUNE_EPS}
+    def _built(cls, vars: tuple, terms: dict, exact: bool):
+        """A value of ``terms``, nonzero coefficients at keys of the
+        registry's width, that an operation of this module built from valid
+        values; ``terms`` is kept, not copied."""
         self = object.__new__(cls)
         self.vars, self.terms, self.exact = vars, terms, exact
         return self
@@ -211,29 +202,63 @@ class _TermMap:
         return (self.vars == other.vars and self.exact == other.exact
                 and self.terms == other.terms)
 
-    def _plus(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        summed = []
-        for key, c in other.terms.items():
-            if key in out:
-                out[key] = out[key] + c
-                summed.append(key)
-            else:
+    def _add_to(self, out: dict, scale=None, shift=None, sign: int = 1):
+        """Add ``sign * (self * scale)``, with every key of ``self`` shifted
+        by the exponent tuple ``shift``, into the term dict ``out`` in place;
+        return ``out``.  ``scale`` is a coefficient of the mode or None.
+
+        Each coefficient meets the float operations of the composition it
+        stands for, in its order: the product with the monomial of
+        coefficient one at ``shift`` (in float mode ``c * complex(1)``, which
+        can move the sign of a zero or turn an infinity's partner into a
+        NaN), then ``* scale`` with the product's pruning (a float below
+        PRUNE_EPS is dropped and a NaN kept; an Exact is zero only for a zero
+        scale), then the negation, then ``out[k] + c``.  The negation is not
+        folded into a subtraction: ``a - c`` and ``a + (-c)`` differ in the
+        sign of a NaN.  A sum that vanishes is deleted at once; each key of
+        ``self`` is met once, so a later part may only insert it again, at
+        the end, as a sum of whole maps would.
+        """
+        exact = self.exact
+        if scale is not None and exact and scale.is_zero:
+            return out
+        one = complex(1) if shift is not None and not exact else None
+        add = operator.add
+        get = out.get
+        for key, c in self.terms.items():
+            if shift is not None:
+                key = tuple(map(add, key, shift))
+                if one is not None:
+                    c = c * one
+            if scale is not None:
+                c = c * scale
+                if not exact and abs(c) < PRUNE_EPS:
+                    continue
+            if sign < 0:
+                c = -c
+            cur = get(key)
+            if cur is None:
                 out[key] = c
-        return self._built(self.vars, out, self.exact, summed)
+                continue
+            cur = cur + c
+            if cur.is_zero if exact else abs(cur) < PRUNE_EPS:
+                del out[key]
+            else:
+                out[key] = cur
+        return out
+
+    def _plus(self, other, scale=None, shift=None, sign: int = 1):
+        """``self + sign * (other * scale)`` with ``other``'s keys shifted by
+        ``shift``, as a new value; see :meth:`_add_to`."""
+        self._check(other)
+        return self._built(self.vars, other._add_to(dict(self.terms), scale,
+                                                    shift, sign), self.exact)
 
     def _scaled(self, c):
-        if not self.exact:      # a float product can underflow
-            return self._built(self.vars,
-                               {k: v * c for k, v in self.terms.items()}, False)
-        # a product of nonzero Exact values is never zero
-        terms = {} if c.is_zero else {k: v * c for k, v in self.terms.items()}
-        return self._built(self.vars, terms, True, ())
+        return self._built(self.vars, self._add_to({}, c), self.exact)
 
     def __neg__(self):
-        return self._built(self.vars, {k: -c for k, c in self.terms.items()},
-                           self.exact, ())
+        return self._built(self.vars, self._add_to({}, sign=-1), self.exact)
 
     def embed(self, new_vars):
         """Widen to a superset registry (explicit, never implicit)."""
@@ -301,6 +326,17 @@ class MultiPoly(_TermMap):
         return cls(vars, {_unit(name, vars): as_coeff(value, exact)
                           for name, value in coeffs.items()}, exact)
 
+    @classmethod
+    def combination(cls, vars, parts, exact: bool = False) -> "MultiPoly":
+        """The sum of ``p * c`` over the pairs ``(p, c)`` of ``parts``, in
+        order: the terms, term order and float values of the running total
+        ``zero + p1 * c1 + p2 * c2 + ...``, summed into one map."""
+        total = cls.zero(vars, exact)
+        for p, c in parts:
+            total._check(p)
+            p._add_to(total.terms, as_coeff(c, exact))
+        return total
+
     # -- bookkeeping ------------------------------------------------------
 
     def degree(self) -> int:
@@ -330,8 +366,9 @@ class MultiPoly(_TermMap):
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, MultiPoly)
-                       else -as_coeff(other, self.exact))
+        if not isinstance(other, MultiPoly):
+            other = MultiPoly.const(other, self.vars, self.exact)
+        return self._plus(other, sign=-1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -347,7 +384,8 @@ class MultiPoly(_TermMap):
                     mono = tuple(map(add, m1, m2))
                     c = c1 * c2
                     out[mono] = out[mono] + c if mono in out else c
-            return MultiPoly._built(self.vars, out, self.exact)
+            return MultiPoly._built(self.vars, _pruned(out, self.exact),
+                                    self.exact)
         try:
             c = as_coeff(other, self.exact)
         except TypeError:
@@ -387,7 +425,7 @@ class MultiPoly(_TermMap):
         # two terms meet; and c * e with e >= 1 cannot vanish
         out = {mono[:i] + (mono[i] - 1,) + mono[i + 1:]: c * mono[i]
                for mono, c in self.terms.items() if mono[i]}
-        return MultiPoly._built(self.vars, out, self.exact, ())
+        return MultiPoly._built(self.vars, out, self.exact)
 
     def subs(self, mapping: dict) -> "MultiPoly":
         """Substitute every variable by a polynomial over a common registry."""
@@ -574,8 +612,9 @@ class DiffOp(_TermMap):
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-(other if isinstance(other, DiffOp)
-                         else DiffOp.identity(self.vars, self.exact) * other))
+        if not isinstance(other, DiffOp):
+            other = DiffOp.identity(self.vars, self.exact) * other
+        return self._plus(other, sign=-1)
 
     def __mul__(self, other):
         if isinstance(other, DiffOp):
@@ -612,7 +651,7 @@ class DiffOp(_TermMap):
                     c = c1 * c2 * factor
                     key = tuple(map(sub, base, k + k))
                     out[key] = out[key] + c if key in out else c
-        return DiffOp._built(self.vars, out, self.exact)
+        return DiffOp._built(self.vars, _pruned(out, self.exact), self.exact)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -652,12 +691,14 @@ class DiffOp(_TermMap):
             g = f.poly
             for name, order in zip(vars, key[n:]):
                 for _ in range(order):
-                    g = g.diff(name) + g * grads[name] if grads \
-                        else g.diff(name)
-            if any(key[:n]):
-                g = g * MultiPoly(vars, {key[:n]: as_coeff(1, op.exact)},
-                                  op.exact)
-            result = result + g * c
+                    step = g.diff(name)
+                    if grads:   # d(g exp Q) = (dg + g dQ) exp Q
+                        (g * grads[name])._add_to(step.terms)
+                    g = step
+            mult = key[:n]
+            # result + (g * v^mult) * c, without the two products
+            g._add_to(result.terms, as_coeff(c, op.exact),
+                      mult if any(mult) else None)
         return result if bare else ExpPolyFn(result, f.exponent)
 
 
@@ -677,7 +718,8 @@ def hermite_table(k: int, arg: MultiPoly) -> list[MultiPoly]:
         raise ValueError("Hermite argument must have a nonzero coefficient")
     table = [MultiPoly.const(1, arg.vars, arg.exact), arg * 2]
     for n in range(1, k):
-        table.append(arg * table[n] * 2 - table[n - 1] * (2 * n))
+        table.append((arg * table[n] * 2)._plus(
+            table[n - 1], as_coeff(2 * n, arg.exact), sign=-1))
     return table[:k + 1]
 
 

@@ -284,7 +284,7 @@ class _Family:
         if swapped:
             n, m = m, n
         fact = math.factorial
-        total = MultiPoly.zero(self.vars, self.exact)
+        parts = []
         for k in range(m + 1):
             if self.exact:      # a Fraction: Exact / int would invert
                 c = (self.lam ** k) * Fraction(
@@ -292,8 +292,8 @@ class _Family:
             else:
                 c = (self.lam ** k) * fact(m) * fact(n - m) \
                     / (fact(m - k) * fact(k) * fact(n - m + k))
-            total = total + self._product(swapped, n - m + k, k) * c
-        return total
+            parts.append((self._product(swapped, n - m + k, k), c))
+        return MultiPoly.combination(self.vars, parts, self.exact)
 
 
 def eigen_suite(kind: str, params: SpectrumParams, nmax: int, mmax: int = None,
@@ -468,12 +468,13 @@ def continuum_eigenfunction(l: int, k: float, omega: float,
     jmax = l + truncation
     hz = hermite_table(jmax, z)
     hw = hermite_table(truncation, w)
-    total = MultiPoly.zero(QX)
+    parts = []
     for m in range(truncation + 1):
         c = (1j * kk ** 2 / om) ** m / (4.0 ** (2 * m + l)
                                         * math.factorial(m)
                                         * math.factorial(l + m))
-        total = total + hz[l + m] * hw[m] * c
+        parts.append((hz[l + m] * hw[m], c))
+    total = MultiPoly.combination(QX, parts)
     exponent = quad_exponent({("q", "x"): -1j * om ** 2}, QX)
     fn = ExpPolyFn(total, exponent)
     e = sign_l * l * om + kk ** 2 / 4.0

@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from puosc.exact import Exact
 from puosc.polyalg import (DiffOp, ExpPolyFn, Field, MultiPoly,
                            VariableMismatchError, exp_diff_apply, hermite,
                            hermite_table, quad_exponent)
-from puosc.spectra import build_operator
+from puosc.spectra import SpectrumParams, build_operator, eigen_suite
 
 Z = ("z",)
 QX = ("q", "x")
@@ -475,3 +476,207 @@ def test_reprs_are_stable():
         " + Exact((0+1j))*q*dx + Exact(-1/8)*dx^2 + Exact(1/32)*dq^2)")
     assert repr(MultiPoly.zero(QX)) == "MultiPoly(0)"
     assert repr(DiffOp.zero(QX, True)) == "DiffOp(0)"
+
+
+# ---------------------------------------------------------------------------
+# the sum kernel against the compositions it replaces
+# ---------------------------------------------------------------------------
+
+def _ref_zero(c) -> bool:
+    return c.is_zero if isinstance(c, Exact) else abs(c) < 1e-300
+
+
+def _ref_pruned(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if not _ref_zero(c)}
+
+
+def _ref_plus(a: dict, b: dict) -> dict:
+    """a + b: b's terms into a copy of a, zero sums deleted at the end."""
+    out, summed = dict(a), []
+    for key, c in b.items():
+        if key in out:
+            out[key] = out[key] + c
+            summed.append(key)
+        else:
+            out[key] = c
+    for key in summed:
+        if key in out and _ref_zero(out[key]):
+            del out[key]
+    return out
+
+
+def _ref_scaled(terms: dict, c, exact: bool) -> dict:
+    """p * c for a coefficient c of the mode."""
+    if exact:
+        return {} if c.is_zero else {k: v * c for k, v in terms.items()}
+    return _ref_pruned({k: v * c for k, v in terms.items()})
+
+
+def _ref_neg(terms: dict) -> dict:
+    return {k: -c for k, c in terms.items()}
+
+
+def _ref_shifted(terms: dict, shift: tuple, exact: bool) -> dict:
+    """p * MultiPoly({shift: 1}), the product loop with a one-term right side."""
+    one = Exact.rational(1) if exact else complex(1)
+    out = {}
+    for m1, c1 in terms.items():
+        mono = tuple(a + b for a, b in zip(m1, shift))
+        c = c1 * one
+        out[mono] = out[mono] + c if mono in out else c
+    return _ref_pruned(out)
+
+
+def _ref_combination(parts, vars, exact: bool) -> dict:
+    total = {}
+    for p, c in parts:
+        total = _ref_plus(total, _ref_scaled(p.terms, Field(exact).num(c)
+                                             if not isinstance(c, Exact)
+                                             else c, exact))
+    return total
+
+
+def _ref_apply(op: DiffOp, f: ExpPolyFn) -> dict:
+    """The term sum of DiffOp.apply as ``result + (g * v^mult) * c``, each
+    derivative step as ``g.diff(v) + g * dQ/dv``."""
+    vars, exact = f.poly.vars, f.poly.exact
+    n = len(vars)
+    grads = ({v: f.exponent.diff(v) for v in vars} if f.exponent.terms
+             else {})
+    result = {}
+    for key, c in op.terms.items():
+        g = f.poly
+        for name, order in zip(vars, key[n:]):
+            for _ in range(order):
+                g = (MultiPoly(vars, _ref_plus(g.diff(name).terms,
+                                               (g * grads[name]).terms), exact)
+                     if grads else g.diff(name))
+        terms = g.terms
+        if any(key[:n]):
+            terms = _ref_shifted(terms, key[:n], exact)
+        result = _ref_plus(result, _ref_scaled(terms, c, exact))
+    return result
+
+
+def _bits(terms: dict) -> list:
+    """Keys in order with their coefficients' bits: the signs of zeros and of
+    NaNs count; an Exact by its canonical repr."""
+    return [(k, struct.pack("<dd", c.real, c.imag) if isinstance(c, complex)
+             else repr(c)) for k, c in terms.items()]
+
+
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e-160, -1e-160, 1e-310, 1e300,
+            math.inf, -math.inf, math.nan)
+_parts = st.sampled_from(_SPECIAL) | st.floats(-4, 4, width=16)
+float_coeffs = st.builds(complex, _parts, _parts)
+exact_coeffs = st.builds(
+    lambda a, b, r, s: Exact.rational(a, b) + Exact.rational(r) * Exact.sqrt(s),
+    small_fractions, small_fractions, st.integers(-1, 1),
+    st.sampled_from((2, 3)))
+
+
+@st.composite
+def term_maps(draw, exact: bool, width: int = 2, size: int = 5):
+    """Term dicts over few keys, so that sums meet and cancel often."""
+    coeffs = exact_coeffs if exact else float_coeffs
+    keys = st.tuples(*[st.integers(0, 2)] * width)
+    return draw(st.dictionaries(keys, coeffs, max_size=size))
+
+
+def _poly(terms, exact, vars=QX):
+    return MultiPoly(vars, terms, exact)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.booleans())
+def test_combination_and_difference_match_the_running_total(data, exact):
+    coeffs = exact_coeffs if exact else float_coeffs
+    parts = [(_poly(data.draw(term_maps(exact)), exact), data.draw(coeffs))
+             for _ in range(data.draw(st.integers(0, 4)))]
+    got = MultiPoly.combination(QX, parts, exact)
+    assert _bits(got.terms) == _bits(_ref_combination(parts, QX, exact))
+    a, b = (_poly(data.draw(term_maps(exact)), exact) for _ in range(2))
+    assert _bits((a - b).terms) == _bits(_ref_plus(a.terms, _ref_neg(b.terms)))
+    assert _bits((-b).terms) == _bits(_ref_neg(b.terms))
+    c = data.draw(coeffs)
+    assert _bits((a * c).terms) == _bits(_ref_scaled(a.terms, c, exact))
+    ops = [DiffOp(QX, data.draw(term_maps(exact, width=4)), exact)
+           for _ in range(2)]
+    assert _bits((ops[0] - ops[1]).terms) == _bits(
+        _ref_plus(ops[0].terms, _ref_neg(ops[1].terms)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.booleans())
+def test_apply_matches_the_product_composition(data, exact):
+    coeffs = exact_coeffs if exact else float_coeffs
+    op = DiffOp(QX, data.draw(term_maps(exact, width=4, size=4)), exact)
+    poly = _poly(data.draw(term_maps(exact)), exact)
+    exponent = {}
+    if data.draw(st.booleans()):
+        exponent = {mono: data.draw(coeffs) for mono in ((2, 0), (1, 1), (0, 2))
+                    if data.draw(st.booleans())}
+    f = ExpPolyFn(poly, MultiPoly(QX, exponent, exact))
+    assert _bits(op.apply(f).poly.terms) == _bits(_ref_apply(op, f))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_hermite_table_matches_the_recurrence_composition(exact):
+    f = Field(exact)
+    arg = MultiPoly.linear({"q": f.num(3) * f.i, "x": f.sqrt(2)}, QX, exact)
+    table = hermite_table(12, arg)
+    ref = [MultiPoly.const(1, QX, exact).terms,
+           _ref_scaled(arg.terms, f.num(2), exact)]
+    for n in range(1, 12):
+        prod = (arg * _poly(ref[n], exact)).terms
+        ref.append(_ref_plus(_ref_scaled(prod, f.num(2), exact),
+                             _ref_neg(_ref_scaled(ref[n - 1], f.num(2 * n),
+                                                  exact))))
+    assert [_bits(p.terms) for p in table] == [_bits(t) for t in ref]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_cancelled_key_comes_back_at_the_end(exact):
+    one = Field(exact).num(1)
+    a = _poly({(1, 0): one, (0, 1): one}, exact)
+    back = _poly({(1, 0): one * 3, (2, 0): one}, exact)
+    parts = [(a, 1), (_poly({(1, 0): one}, exact), -1), (back, 1)]
+    got = MultiPoly.combination(QX, parts, exact)
+    assert list(got.terms) == [(0, 1), (1, 0), (2, 0)]
+    assert _bits(got.terms) == _bits(_ref_combination(parts, QX, exact))
+
+
+def test_float_underflow_nan_and_signed_zeros_in_the_kernel():
+    tiny = _poly({(1, 0): 1e-160, (0, 1): complex(-0.0, 1.0),
+                  (1, 1): complex(math.inf, 1.0), (0, 0): math.nan}, False)
+    for scale in (1e-160, -1e-200, complex(0.0, -1.0), 1.0):
+        got = MultiPoly.combination(QX, [(tiny, scale), (tiny, -scale)], False)
+        ref = _ref_combination([(tiny, scale), (tiny, -scale)], QX, False)
+        assert _bits(got.terms) == _bits(ref)
+    assert (1, 0) not in (tiny * 1e-160).terms          # 1e-320 underflows
+    # x * d/dq shifts by x: the unit product turns (inf + 1j) into (inf + nanj)
+    op = DiffOp(QX, {(0, 1, 1, 0): -1.0})
+    got = op.apply(tiny)
+    assert _bits(got.terms) == _bits(_ref_apply(op, ExpPolyFn(tiny)))
+    assert math.isnan(got.terms[(0, 2)].imag)
+
+
+def test_one_ghost_apply_multiplies_only_for_the_gradients(monkeypatch):
+    # each derivative step of a chain multiplies by dQ/dv once; the
+    # multiplication exponents and the coefficient of an operator term are
+    # summed in by the kernel, with no product of their own
+    member = eigen_suite("ghost", SpectrumParams(3.0, 1.0), 3)[-1].wavefunction
+    h = build_operator("H_pu", omega1=3.0, omega2=1.0)
+    steps = sum(sum(key[2:]) for key in h.terms)
+    calls = []
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        calls.append(isinstance(other, MultiPoly))
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    got = h.apply(member)
+    assert calls == [True] * steps
+    monkeypatch.undo()
+    assert _bits(got.poly.terms) == _bits(_ref_apply(h, member))

@@ -39,8 +39,8 @@ tracer.install()
 assert [stdout(argv) for argv in COMMANDS] == untraced
 # install names every wrapper; a span of that name shows it was called
 spans = {{tracer.names[i] for i in tracer.name}}
-for name in ("polyalg.DiffOp.commutator", "phasespace.transform_equals",
-             "variational.energy_closed_form"):
+for name in ("polyalg.DiffOp.commutator", "polyalg.DiffOp.apply",
+             "phasespace.transform_equals", "variational.energy_closed_form"):
     assert name in spans, name
 """
 
