@@ -9,7 +9,10 @@ expressions, so the vector field used by the integrator is
 coefficient-identical to the symbolic one by construction.  Each system
 also gets one generated function that makes a whole step attempt on Python
 floats, with the tableau constants and the right-hand-side text inlined in
-every stage; the accept/reject loop around it stays in ``integrate``.
+every stage; the accept/reject loop around it stays in ``integrate``.  The
+generated text names the polynomial coefficients instead of spelling them
+out, so it is compiled once per term structure and bound to each system's
+coefficients.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,8 +57,8 @@ UNDERFLOW_FACTOR = 1e-14
 class SystemSpec:
     """A classical system: Hamiltonian, state layout, bracket-generated RHS.
 
-    The compiled right-hand side, energy and step function are generated on
-    first use and cached on the spec.
+    The compiled right-hand side, energy and step function are bound to the
+    spec's coefficients on first use and cached on the spec.
     """
 
     name: str
@@ -70,16 +73,21 @@ class SystemSpec:
 
     @cached_property
     def _rhs(self):
-        return _compile_polys(self.rhs_polys, self.state_vars)
+        return self._bound(_compile_polys, self.rhs_polys)
 
     @cached_property
     def _energy(self):
-        return _compile_polys((self.hamiltonian.poly,), self.state_vars)
+        return self._bound(_compile_polys, (self.hamiltonian.poly,))
 
     @cached_property
     def _step(self):
-        return _compile_step(_poly_exprs(self.rhs_polys, self.state_vars),
-                             self.state_vars)
+        return self._bound(_compile_step, self.rhs_polys)
+
+    def _bound(self, compile_, polys):
+        """The function ``compile_`` generates for the term structure of
+        ``polys``, bound to their coefficients."""
+        exprs, coeffs = _poly_exprs(polys, self.state_vars)
+        return compile_(exprs, self.state_vars, len(coeffs))(*coeffs)
 
 
 def make_system(name: str, **params) -> SystemSpec:
@@ -108,12 +116,17 @@ def hamilton_rhs(spec: SystemSpec, state) -> np.ndarray:
 
 
 def _poly_exprs(polys, state_vars):
-    """Python expression text of real polynomials over the state registry.
+    """Python expression text of real polynomials over the state registry,
+    and their coefficients.
 
-    Powers stay ``x**e``: float ``**`` rounds as numpy's scalar power does,
-    where repeated multiplication would not.
+    The k-th coefficient, in term order across ``polys``, is written as the
+    name ``_ck``; the k-th entry of the returned coefficients is its value,
+    the double that its ``repr`` would parse back to.  Polynomials with the
+    same terms thus share one text.  Powers stay ``x**e``: float ``**``
+    rounds as numpy's scalar power does, where repeated multiplication
+    would not.
     """
-    exprs = []
+    exprs, coeffs = [], []
     for poly in polys:
         if poly.vars != tuple(state_vars):
             raise ValueError("polynomial registry does not match state layout")
@@ -125,7 +138,8 @@ def _poly_exprs(polys, state_vars):
                     f"classical polynomial has a non-finite coefficient {cc}")
             if abs(cc.imag) > 1e-12 * max(1.0, abs(cc)):
                 raise ValueError("classical polynomial has a complex coefficient")
-            bits = [repr(cc.real)]
+            bits = [f"_c{len(coeffs)}"]
+            coeffs.append(cc.real)
             for name, e in zip(poly.vars, mono):
                 if e == 1:
                     bits.append(name)
@@ -133,24 +147,36 @@ def _poly_exprs(polys, state_vars):
                     bits.append(f"{name}**{e}")
             parts.append("*".join(bits))
         exprs.append(" + ".join(parts) if parts else "0.0")
-    return exprs
+    return tuple(exprs), tuple(coeffs)
 
 
-def _compile(src: str, name: str):
+def _factory(lines, name: str, ncoeffs: int):
+    """Compile ``def _bind(_c0, .., _cN): <lines>; return <name>``: a
+    function of the coefficients that returns the function ``name`` of
+    ``lines`` with the coefficient names bound to them."""
+    params = ", ".join(f"_c{k}" for k in range(ncoeffs))
+    src = "\n".join([f"def _bind({params}):", *("    " + ln for ln in lines),
+                     f"    return {name}"])
     ns: dict = {}
     exec(src, {"_INF": math.inf, "_sqrt": math.sqrt}, ns)
-    return ns[name]
+    return ns["_bind"]
 
 
-def _compile_polys(polys, state_vars):
-    """Compile real polynomials over the state registry to one function."""
-    src = "def _f({}):\n    return ({},)".format(
-        ", ".join(state_vars), ", ".join(_poly_exprs(polys, state_vars)))
-    return _compile(src, "_f")
+# Each classical system has a few term structures (a zero parameter drops
+# its terms); the cells of a scan and the jobs of one process meet the same
+# ones again and again with new coefficients, so each is compiled once.
+@lru_cache(maxsize=64)
+def _compile_polys(exprs, state_vars, ncoeffs):
+    """Factory of one function of the state that returns the tuple of the
+    polynomials' values."""
+    return _factory(["def _f({}):".format(", ".join(state_vars)),
+                     "    return ({},)".format(", ".join(exprs))],
+                    "_f", ncoeffs)
 
 
-def _compile_step(rhs_exprs, state_vars):
-    """Generate one whole Dormand-Prince attempt on Python floats.
+@lru_cache(maxsize=64)
+def _compile_step(rhs_exprs, state_vars, ncoeffs):
+    """Factory of one whole Dormand-Prince attempt on Python floats.
 
     ``step(h, y, k0, rtol, atol)`` takes the state and its derivative as
     tuples and returns ``(err, evals, y1, k6, record)``: the RMS error norm,
@@ -205,7 +231,7 @@ def _compile_step(rhs_exprs, state_vars):
                   "".join(f"_k6_{c}, " for c in comps),
                   "".join(f"_k{i}_{c}, " for i in (0, 2, 3, 4, 5, 6)
                           for c in comps))]
-    return _compile("\n".join(lines), "_step")
+    return _factory(lines, "_step", ncoeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -234,21 +260,27 @@ class CollapseVerdict:
 
 
 class Trajectory:
-    """Accepted states with per-step energies and dense output.
+    """Accepted states with their energies and dense output.
 
     ``stages`` holds, per accepted step, the step size and the stages
     k0, k2, k3, k4, k5 and k6 in one flat float64 array; the interpolant
     coefficients are built from them on first use.
     """
 
-    def __init__(self, spec, times, states, energies, stages, stats):
+    def __init__(self, spec, times, states, stages, stats):
         self.spec = spec
         self.times = times
         self.states = states
-        self.energies = energies
         self._stages = stages
         self._coeffs = None
         self.stats = stats
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        """H at each recorded state, evaluated on first read."""
+        energy = self.spec._energy
+        return np.array([_energy_at(energy, y) for y in self.states.tolist()],
+                        dtype=float)
 
     @property
     def t_final(self) -> float:
@@ -331,20 +363,15 @@ def integrate(spec: SystemSpec, s0, t_end: float, rtol: float = 1e-10,
     if y0.shape != (n,):
         raise ValueError(f"initial state must have {n} components "
                          f"({spec.state_vars})")
-    if not np.all(np.isfinite(y0)):
-        raise ValueError(f"initial state must be finite, got {y0.tolist()}")
-    fc = spec.rhs_function()
-    f = lambda yy: np.array(fc(*yy))
-    step, energy = spec._step, spec._energy
-
-    with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        k1 = f(y0)
-        h = _initial_step(f, y0, k1, rtol, atol, t_end - t0)
-    y, k0 = tuple(y0.tolist()), tuple(k1.tolist())
+    y = tuple(y0.tolist())
+    if not all(map(math.isfinite, y)):
+        raise ValueError(f"initial state must be finite, got {list(y)}")
+    f, step = spec.rhs_function(), spec._step
+    k0 = _evaluate(f, y)
+    h = _initial_step(f, y, k0, rtol, atol, t_end - t0)
     # flat float64 buffers: a few words per step, no object per value
     times = array("d", [t0])
     states = array("d", y)
-    energies = array("d", [_energy_at(energy, y)])
     stages = array("d")
 
     def recorded():
@@ -352,7 +379,7 @@ def integrate(spec: SystemSpec, s0, t_end: float, rtol: float = 1e-10,
 
     h_floor = UNDERFLOW_FACTOR * (t_end - t0)
     steps = rejected = 0
-    rhs_evals = 2                      # k1 and the probe in _initial_step
+    rhs_evals = 2                      # k0 and the probe in _initial_step
     min_step = math.inf
     t = t0
     verdict = None
@@ -382,7 +409,6 @@ def integrate(spec: SystemSpec, s0, t_end: float, rtol: float = 1e-10,
             min_step = h
         times.append(t)
         states.extend(y)
-        energies.append(_energy_at(energy, y))
 
         if max(map(abs, y)) > amplitude_limit:
             verdict = _collapsed("amplitude-threshold", *recorded())
@@ -397,25 +423,41 @@ def integrate(spec: SystemSpec, s0, t_end: float, rtol: float = 1e-10,
     if verdict is None:
         verdict = CollapseVerdict("bounded")
     stats = IntegratorStats(steps, rejected, min_step, rhs_evals)
-    traj = Trajectory(spec, *recorded(), np.frombuffer(energies),
-                      np.frombuffer(stages), stats)
+    traj = Trajectory(spec, *recorded(), np.frombuffer(stages), stats)
     return traj, verdict
 
 
-def _energy_at(energy, y) -> float:
-    """H at an accepted state.  Where a float ``**`` overflows, numpy scalars
-    give the inf or nan the energy record should hold."""
+def _evaluate(fn, y):
+    """``fn(*y)`` on Python floats.  Where a float ``**`` overflows, numpy
+    scalars give the inf or nan that numpy's arithmetic gives."""
     try:
-        return energy(*y)[0]
+        return fn(*y)
     except OverflowError:
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(energy(*np.array(y))[0])
+            return tuple(map(float, fn(*np.array(y))))
+
+
+def _energy_at(energy, y) -> float:
+    """H at a recorded state; inf or nan where a power overflows."""
+    return _evaluate(energy, y)[0]
+
+
+def _rms(values) -> float:
+    """RMS norm as numpy's ``sqrt(mean(v ** 2))`` of a short vector: squares
+    ``v * v``, summed in index order, divided by n."""
+    total = 0.0
+    for v in values:
+        total += v * v
+    return math.sqrt(total / len(values))
 
 
 def _initial_step(f, y0, f0, rtol, atol, span):
-    sc = atol + rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / sc) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / sc) ** 2)))
+    """First step size (Hairer, Norsett & Wanner, II.4) for the state ``y0``
+    and its derivative ``f0``, on Python floats; ``f`` is evaluated once
+    more, at a probe point."""
+    sc = [atol + rtol * abs(v) for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, sc)])
+    d1 = _rms([v / s for v, s in zip(f0, sc)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     if not h0 > 0:
         raise ValueError(
@@ -423,8 +465,8 @@ def _initial_step(f, y0, f0, rtol, atol, span):
             f"scaled by atol + rtol*|y0|, has RMS norm {d1!r}; the initial "
             f"state is too large or atol too small")
     h0 = min(h0, span)
-    f1 = f(y0 + h0 * f0)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / sc) ** 2))) / h0
+    f1 = _evaluate(f, [v + h0 * d for v, d in zip(y0, f0)])
+    d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, sc)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

@@ -118,6 +118,94 @@ def test_rhs_state_layouts():
         hamilton_rhs(make_system("pu", omega1=2, omega2=1), (1.0, 2.0))
 
 
+def test_step_is_compiled_once_per_term_structure():
+    a = make_system("pu_quartic", omega1=1.3, omega2=0.6, alpha=0.2)
+    b = make_system("pu_quartic", omega1=2.1, omega2=0.9, alpha=0.7)
+    assert a._step is not b._step
+    assert a._step.__code__ is b._step.__code__
+    assert a._rhs.__code__ is b._rhs.__code__
+    assert a._energy.__code__ is b._energy.__code__
+    assert a._rhs(1.0, 1.0, 1.0, 1.0) != b._rhs(1.0, 1.0, 1.0, 1.0)
+    # a gamma term in place of the alpha term is another structure
+    c = make_system("pu_quartic", omega1=1.3, omega2=0.6, gamma=0.2)
+    assert c._step.__code__ is not a._step.__code__
+    assert c._rhs.__code__ is not a._rhs.__code__
+
+
+def _literal_exprs(polys, state_vars):
+    """The expression text as generated before coefficients became names:
+    each coefficient inlined as its ``repr``."""
+    from puosc.polyalg import to_complex
+
+    exprs = []
+    for poly in polys:
+        parts = []
+        for mono, c in poly.terms.items():
+            bits = [repr(to_complex(c).real)]
+            for name, e in zip(state_vars, mono):
+                if e == 1:
+                    bits.append(name)
+                elif e:
+                    bits.append(f"{name}**{e}")
+            parts.append("*".join(bits))
+        exprs.append(" + ".join(parts) if parts else "0.0")
+    return tuple(exprs)
+
+
+def _literal_function(exprs, state_vars):
+    ns = {}
+    exec("def _f({}):\n    return ({},)".format(", ".join(state_vars),
+                                               ", ".join(exprs)), {}, ns)
+    return ns["_f"]
+
+
+def _outcome(fn, *args):
+    """Bits of a call's floats, or the exception it raised."""
+    try:
+        out = fn(*args)
+    except OverflowError:
+        return "OverflowError"
+    flat = []
+    for v in out:
+        flat += v if isinstance(v, tuple) else [v]
+    return [v if v is None else float(v).hex() for v in flat]
+
+
+@pytest.mark.parametrize("name, params", [
+    ("pu", {"omega1": 1.9, "omega2": 0.7}),
+    ("pu_quartic", {"omega1": 1.3, "omega2": 0.6, "alpha": 0.2, "beta": -0.4,
+                    "gamma": 0.7}),
+    ("pu_quartic", {"omega1": 1.0, "omega2": 1.0, "alpha": 0.5}),
+    ("robert", {"omega": 1.0, "lam": 1.0}),
+    ("robert_gamma", {"omega": 1.4, "lam": 0.8, "gamma": 0.3}),
+    ("diag_ghost_plus_V1", {"omega1": 1.2, "omega2": 1.0, "lam": 0.1}),
+])
+def test_bound_functions_match_inlined_literals(name, params):
+    # the step text around the right-hand side did not change, so the
+    # reference step is the module's step generator fed the literal text
+    from puosc.dynamics import _compile_step
+
+    spec = make_system(name, **params)
+    vars_ = spec.state_vars
+    rhs_text = _literal_exprs(spec.rhs_polys, vars_)
+    rhs = _literal_function(rhs_text, vars_)
+    energy = _literal_function(
+        _literal_exprs((spec.hamiltonian.poly,), vars_), vars_)
+    step = _compile_step(rhs_text, vars_, 0)()
+    assert step.__code__ is not spec._step.__code__
+    rng = np.random.default_rng(17)
+    for i in range(60):
+        y = tuple((rng.normal(size=4) * 10.0 ** rng.uniform(-3, 3)).tolist())
+        if i % 20 == 0:
+            y = (1e120, -1e110, 3.0, -0.0)       # powers overflow
+        assert _outcome(spec._rhs, *y) == _outcome(rhs, *y)
+        assert _outcome(spec._energy, *y) == _outcome(energy, *y)
+        k0 = spec._rhs(*y) if i % 20 else (0.0, 0.0, 1e300, -1e300)
+        h = float(10.0 ** rng.uniform(-4, 0))
+        assert _outcome(spec._step, h, y, k0, 1e-6, 1e-9) \
+            == _outcome(step, h, y, k0, 1e-6, 1e-9)
+
+
 @pytest.mark.parametrize("alpha", [math.nan, math.inf])
 def test_non_finite_coefficients_are_rejected(alpha):
     spec = make_system("pu_quartic", omega1=1.0, omega2=1.0, alpha=alpha)
@@ -261,10 +349,32 @@ def _numpy_attempt(f, h, y, k0, rtol, atol):
     return (errnorm if math.isfinite(errnorm) else math.inf), yi, k
 
 
+def _numpy_initial_step(f, y0, f0, rtol, atol, span):
+    """The first step size on numpy arrays, as ``integrate`` chose it before
+    it moved to Python floats; ``f`` maps an array to an array."""
+    sc = atol + rtol * np.abs(y0)
+    d0 = float(np.sqrt(np.mean((y0 / sc) ** 2)))
+    d1 = float(np.sqrt(np.mean((f0 / sc) ** 2)))
+    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    if not h0 > 0:
+        raise ValueError(
+            f"no initial step size: the vector field at the initial state, "
+            f"scaled by atol + rtol*|y0|, has RMS norm {d1!r}; the initial "
+            f"state is too large or atol too small")
+    h0 = min(h0, span)
+    f1 = f(y0 + h0 * f0)
+    d2 = float(np.sqrt(np.mean(((f1 - f0) / sc) ** 2))) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, span)
+
+
 def _numpy_reference(spec, s0, t_end, rtol, atol, amplitude_limit):
     """The numpy integration loop, kept as the reference:
     (times, states, energies, steps, rejected, trigger)."""
-    from puosc.dynamics import UNDERFLOW_FACTOR, _initial_step
+    from puosc.dynamics import UNDERFLOW_FACTOR
 
     rhs = spec.rhs_function()
 
@@ -276,7 +386,7 @@ def _numpy_reference(spec, s0, t_end, rtol, atol, amplitude_limit):
 
     y = np.asarray(s0, dtype=float)
     k1 = f(y)
-    h = _initial_step(f, y, k1, rtol, atol, t_end)
+    h = _numpy_initial_step(f, y, k1, rtol, atol, t_end)
     t, times, states, energies = 0.0, [0.0], [y], [energy(y)]
     h_floor = UNDERFLOW_FACTOR * t_end
     steps = rejected = 0
@@ -335,6 +445,81 @@ def test_generated_step_matches_numpy_reference(name, params, ic, t_end, kw):
     assert verdict.trigger == trigger
 
 
+def _bits(values):
+    """Values as hex strings, so that equality is bit for bit (nan == nan)."""
+    return [float(v).hex() for v in values]
+
+
+def _check_initial_step(spec, y, rtol, atol, span):
+    """The first derivative and step size on Python floats equal the numpy
+    ones bit for bit, or both raise the same ValueError."""
+    from puosc.dynamics import _evaluate, _initial_step
+
+    rhs = spec.rhs_function()
+    f = lambda yy: np.array(rhs(*yy))   # noqa: E731
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = f(np.array(y))
+        try:
+            want = _numpy_initial_step(f, np.array(y), k1, rtol, atol, span)
+        except ValueError as exc:
+            want = exc
+    k0 = _evaluate(rhs, y)
+    assert _bits(k0) == _bits(k1)
+    if isinstance(want, ValueError):
+        with pytest.raises(ValueError) as exc:
+            _initial_step(rhs, y, k0, rtol, atol, span)
+        assert str(exc.value) == str(want)
+        return None
+    got = _initial_step(rhs, y, k0, rtol, atol, span)
+    assert got.hex() == want.hex()
+    return got
+
+
+_SPECS = {
+    "pu": ("pu", {"omega1": 1.5, "omega2": 1.1}),
+    "pu_quartic": ("pu_quartic", {"omega1": 1.3, "omega2": 0.6, "alpha": 0.2,
+                                  "beta": 0.4, "gamma": 0.7}),
+    "robert_gamma": ("robert_gamma", {"omega": 1.4, "lam": 0.8,
+                                      "gamma": 0.3}),
+    "diag": ("diag_ghost_plus_V2", {"omega1": 1.2, "omega2": 1.0,
+                                    "lam": 0.1}),
+}
+
+
+@pytest.mark.parametrize("key", _SPECS)
+def test_initial_step_matches_numpy_on_seeded_states(key):
+    name, params = _SPECS[key]
+    spec = make_system(name, **params)
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        y = rng.normal(size=4) * 10.0 ** rng.uniform(-4, 4, size=4)
+        y[rng.random(4) < 0.25] = 0.0
+        y[rng.random(4) < 0.15] = -0.0
+        _check_initial_step(spec, tuple(y.tolist()),
+                            10.0 ** rng.uniform(-12, -1),
+                            10.0 ** rng.uniform(-14, -1),
+                            float(rng.choice([1e-3, 5.0, 100.0])))
+    for y in [(0.0,) * 4, (-0.0,) * 4, (-0.0, 1.0, -2.5, 0.0)]:
+        _check_initial_step(spec, y, 1e-9, 1e-12, 10.0)
+
+
+def test_initial_step_falls_back_to_numpy_scalars_on_overflow():
+    # the probe moves q from 5.6e102 past 5.64e102, where q**3 overflows;
+    # its infinite derivative leaves no first step
+    quartic = make_system("pu_quartic", omega1=1.0, omega2=1.0, alpha=1e-200)
+    y = (5.6e102, 1e103, 0.0, 1e150)
+    assert all(map(math.isfinite, quartic.rhs_function()(*y)))
+    assert _check_initial_step(quartic, y, 1e-300, 1e-3, 10.0) == 0.0
+    # q**3 overflows at the state itself: the scaled RMS norm is inf
+    quartic = make_system("pu_quartic", omega1=1.0, omega2=1.0, alpha=0.5)
+    y = (1e120, 0.0, 0.0, 0.0)
+    with pytest.raises(OverflowError):
+        quartic.rhs_function()(*y)
+    with pytest.raises(ValueError, match="no initial step size.*RMS norm inf"):
+        integrate(quartic, y, 10.0)
+    assert _check_initial_step(quartic, y, 1e-8, 1e-10, 10.0) is None
+
+
 def test_overflowing_stages_are_rejected_like_numpy():
     # numpy turns an overflowing power into inf; the generated step, whose
     # float ** raises instead, reports an infinite error norm
@@ -361,6 +546,33 @@ def test_energy_record_keeps_overflow_as_inf():
     assert _energy_at(spec._energy, (1e100, 0.0, 0.0, 0.0)) == math.inf
     assert _energy_at(spec._energy, (2.0, 0.0, 0.0, 0.0)) \
         == spec._energy(2.0, 0.0, 0.0, 0.0)[0]
+
+
+def test_energies_are_evaluated_on_first_read(monkeypatch):
+    from puosc.dynamics import _energy_at
+
+    spec = make_system("pu_quartic", omega1=1.0, omega2=1.0, alpha=0.5)
+    energy, calls = spec._energy, []
+
+    def counted(*y):
+        calls.append(y)
+        return energy(*y)
+
+    monkeypatch.setattr(spec, "_energy", counted)
+    grid = np.array([-2.0, 0.0, 2.0])
+    stability_scan(spec, grid, grid, 10.0)
+    traj, verdict = integrate(spec, (2.0, 0.0, 0.0, 0.0), 60.0, rtol=1e-2,
+                              amplitude_limit=math.inf)
+    assert calls == []
+    assert verdict.trigger == "stepsize-underflow"
+    energies = traj.energies
+    assert len(calls) == len(traj.states) and traj.energies is energies
+    want = [_energy_at(energy, y) for y in traj.states.tolist()]
+    assert _bits(energies) == _bits(want)
+    # H overflows at this state: it is recorded as inf
+    huge, _ = integrate(spec, (2e77, 1e150, 1e232, 1e232), 1.0, rtol=0.5,
+                        atol=0.5, amplitude_limit=math.inf)
+    assert huge.energies.tolist() == [math.inf]
 
 
 def test_stats_count_rhs_evaluations():

@@ -14,11 +14,13 @@ the same way (``run.Pass.scaled_seconds``: each round's wall time times
 ``PROBE_SECONDS`` over the probe time around it).  The two sides alternate
 which runs first, ``--pairs`` times.
 
-Every replay prints its scaled seconds; the last lines give each side's
-median, the median ratio parent / change (above 1 when the change is
+Every replay prints its scaled seconds and two digests: one of the
+reports, and one of the files the jobs write under ``jobs.OUT_DIR`` (the
+``--csv`` trajectories), read after each job.  The last lines give each
+side's median, the median ratio parent / change (above 1 when the change is
 faster) and the pairs the change won.  The exit code is 1 when any two
-replays' report digests or failed-job counts differ: a speedup is only
-worth reading for the same report bytes.
+replays' digests or failed-job counts differ: a speedup is only worth
+reading for the same report and artifact bytes.
 """
 
 from __future__ import annotations
@@ -38,15 +40,29 @@ sys.path.insert(0, PERFBENCH)
 import jobs  # noqa: E402
 
 REPLAY = """
-import json, os, sys
+import hashlib, json, os, sys
 sys.path[:0] = [{src!r}, {perfbench!r}]
 import jobs, run
 from puosc import cli
 os.makedirs(jobs.OUT_DIR, exist_ok=True)
-p = run.Pass().run(cli.main, jobs.plan({workload!r}, {seed}), rounds={rounds})
+artifacts = hashlib.sha256()
+
+def run_job(main, job):
+    # the job's time is taken inside run.run_job; its files are read after
+    result = run.run_job(main, job)
+    for arg in job.argv:
+        path = arg.split("=", 1)[-1]
+        if path.startswith(jobs.OUT_DIR + "/") and os.path.isfile(path):
+            with open(path, "rb") as fh:
+                artifacts.update(path.encode() + b"\\0" + fh.read())
+    return result
+
+p = run.Pass().run(cli.main, jobs.plan({workload!r}, {seed}), rounds={rounds},
+                   run=run_job)
 print(json.dumps({{"seconds": p.scaled_seconds(len(p.round_walls)),
                   "rounds": len(p.round_walls), "failed": len(p.failures),
-                  "digest": p.digest.hexdigest()}}))
+                  "digest": p.digest.hexdigest(),
+                  "artifacts": artifacts.hexdigest()}}))
 """
 
 
@@ -86,9 +102,10 @@ def main(argv=None) -> int:
                 runs[side].append(r)
                 print(f"pair {i + 1} {side:6s} {r['seconds']:8.3f} s  "
                       f"{r['rounds']} rounds, {r['failed']} failed, "
-                      f"reports {r['digest'][:16]}", flush=True)
+                      f"reports {r['digest'][:16]}, "
+                      f"artifacts {r['artifacts'][:16]}", flush=True)
 
-    seen = {(r["digest"], r["rounds"], r["failed"])
+    seen = {(r["digest"], r["artifacts"], r["rounds"], r["failed"])
             for side in runs.values() for r in side}
     parent = [r["seconds"] for r in runs["parent"]]
     change = [r["seconds"] for r in runs["change"]]
@@ -98,8 +115,8 @@ def main(argv=None) -> int:
           f"{statistics.median(p / c for p, c in zip(parent, change)):.3f}x, "
           f"{won} of {args.pairs} pairs won by the change")
     if len(seen) != 1:
-        print("FAILED: the replays differ in report digest, rounds or "
-              f"failed jobs: {sorted(seen)}")
+        print("FAILED: the replays differ in report or artifact digest, "
+              f"rounds or failed jobs: {sorted(seen)}")
         return 1
     return 0
 
