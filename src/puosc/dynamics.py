@@ -7,12 +7,15 @@ ODEs I*, II.4-II.6).  Right-hand sides are generated from the phase-space
 Hamiltonians through Poisson brackets and compiled to plain Python
 expressions, so the vector field used by the integrator is
 coefficient-identical to the symbolic one by construction.  Each system
-also gets one generated function that makes a whole step attempt on Python
-floats, with the tableau constants and the right-hand-side text inlined in
-every stage; the accept/reject loop around it stays in ``integrate``.  The
-generated text names the polynomial coefficients instead of spelling them
-out, so it is compiled once per term structure and bound to each system's
-coefficients.
+also gets one generated function that runs the whole accept/reject loop on
+Python floats, with the tableau constants and the right-hand-side text
+inlined in every stage, and records only the times, states and step sizes
+of the accepted steps.  A second generated function makes one step attempt
+and returns its stages; a trajectory replays it over its recorded steps to
+rebuild the dense output on first use.  Both share one text for the
+attempt.  The generated text names the polynomial coefficients instead of
+spelling them out, so it is compiled once per term structure and bound to
+each system's coefficients.
 """
 
 from __future__ import annotations
@@ -57,8 +60,9 @@ UNDERFLOW_FACTOR = 1e-14
 class SystemSpec:
     """A classical system: Hamiltonian, state layout, bracket-generated RHS.
 
-    The compiled right-hand side, energy and step function are bound to the
-    spec's coefficients on first use and cached on the spec.
+    The compiled right-hand side, energy, step attempt and integration loop
+    are bound to the spec's coefficients on first use and cached on the
+    spec.
     """
 
     name: str
@@ -82,6 +86,10 @@ class SystemSpec:
     @cached_property
     def _step(self):
         return self._bound(_compile_step, self.rhs_polys)
+
+    @cached_property
+    def _run(self):
+        return self._bound(_compile_run, self.rhs_polys)
 
     def _bound(self, compile_, polys):
         """The function ``compile_`` generates for the term structure of
@@ -174,17 +182,18 @@ def _compile_polys(exprs, state_vars, ncoeffs):
                     "_f", ncoeffs)
 
 
-@lru_cache(maxsize=64)
-def _compile_step(rhs_exprs, state_vars, ncoeffs):
-    """Factory of one whole Dormand-Prince attempt on Python floats.
+def _attempt_lines(rhs_exprs, state_vars, pad):
+    """Source lines of one Dormand-Prince attempt on Python floats, indented
+    by ``pad``, and the indent of their innermost level.
 
-    ``step(h, y, k0, rtol, atol)`` takes the state and its derivative as
-    tuples and returns ``(err, evals, y1, k6, record)``: the RMS error norm,
-    the RHS evaluations begun, the new state, the derivative there (the next
-    step's first stage) and the step's row of dense-output data, ``h`` and
-    the stages k0, k2, k3, k4, k5 and k6 flattened.  When a stage point is
-    not finite, or a power in a stage overflows, ``err`` is inf and the last
-    three are None.
+    The attempt starts from the state ``_y<c>``, its derivative ``_k0_<c>``
+    and the step size ``_h``.  Each stage point is bound to the state names
+    and the rest of the attempt nests under its finiteness test; ``_n``
+    counts the RHS evaluations begun.  The innermost level, reached when
+    all six points are finite, sets ``_err`` to the RMS error norm with
+    tolerances ``_rtol`` and ``_atol``; there the stage-6 point, still bound
+    to the state names, is the new state and ``_k6_<c>`` its derivative.  A
+    power that overflows raises OverflowError, which the caller catches.
 
     The arithmetic is the numpy stage loop's, element by element: every
     stage sum starts from ``0 +`` in tableau order (so a sum of negative
@@ -195,43 +204,153 @@ def _compile_step(rhs_exprs, state_vars, ncoeffs):
     if any(v.startswith("_") for v in state_vars):
         raise ValueError("state variable names may not start with '_'")
     n = len(state_vars)
-    comps = range(n)
 
     def combo(weights, c):
         return "0" + "".join(f" + {w!r} * _k{j}_{c}"
                              for j, w in enumerate(weights) if w)
 
-    failed = "_INF, _n, None, None, None"
-    lines = ["def _step(_h, _y, _k0, _rtol, _atol):",
-             "    " + "".join(f"_y{c}, " for c in comps) + "= _y",
-             "    " + "".join(f"_k0_{c}, " for c in comps) + "= _k0",
-             "    _n = 0",
-             "    try:"]
+    lines = [f"{pad}_n = 0"]
     for i in range(1, 7):
-        lines += [f"        {v} = _y{c} + _h * ({combo(_A[i], c)})"
+        lines += [f"{pad}{v} = _y{c} + _h * ({combo(_A[i], c)})"
                   for c, v in enumerate(state_vars)]
         # v - v is 0.0 for a finite v and nan for inf or nan
         finite = " + ".join(f"({v} - {v})" for v in state_vars)
-        lines += [f"        if {finite} != 0.0:",
-                  f"            return {failed}",
-                  f"        _n = {i}"]
-        lines += [f"        _k{i}_{c} = {e}" for c, e in enumerate(rhs_exprs)]
-    lines += ["    except OverflowError:",
-              f"        return {failed}"]
-    # the stage-6 point, still bound to the state names, is the new state
+        lines.append(f"{pad}if {finite} == 0.0:")
+        pad += "    "
+        lines.append(f"{pad}_n = {i}")
+        lines += [f"{pad}_k{i}_{c} = {e}" for c, e in enumerate(rhs_exprs)]
+    # both points are finite here, so a comparison gives |v| up to the sign
+    # of a zero, which atol + rtol * |v| does not see
     for c, v in enumerate(state_vars):
-        lines += [f"    _a = abs(_y{c})",
-                  f"    _b = abs({v})",
-                  f"    _r{c} = _h * ({combo(_E, c)}) / "
+        lines += [f"{pad}_a = _y{c} if _y{c} >= 0.0 else -_y{c}",
+                  f"{pad}_b = {v} if {v} >= 0.0 else -{v}",
+                  f"{pad}_r{c} = _h * ({combo(_E, c)}) / "
                   f"(_atol + _rtol * (_a if _a > _b else _b))"]
-    squares = " + ".join(f"_r{c} * _r{c}" for c in comps)
-    lines += [f"    _err = _sqrt((0.0 + {squares}) / {n})",
-              "    return _err, 6, ({}), ({}), (_h, {})".format(
-                  "".join(f"{v}, " for v in state_vars),
-                  "".join(f"_k6_{c}, " for c in comps),
-                  "".join(f"_k{i}_{c}, " for i in (0, 2, 3, 4, 5, 6)
-                          for c in comps))]
+    squares = " + ".join(f"_r{c} * _r{c}" for c in range(n))
+    lines.append(f"{pad}_err = _sqrt((0.0 + {squares}) / {n})")
+    return lines, pad
+
+
+def _unpack(names, value):
+    """Source of the statement that unpacks ``value`` into ``names``."""
+    return "".join(f"{x}, " for x in names) + f"= {value}"
+
+
+@lru_cache(maxsize=64)
+def _compile_step(rhs_exprs, state_vars, ncoeffs):
+    """Factory of one whole Dormand-Prince attempt on Python floats.
+
+    ``step(h, y, k0, rtol, atol)`` takes the state and its derivative as
+    sequences and returns ``(err, evals, y1, k6, record)``: the RMS error
+    norm, the RHS evaluations begun, the new state, the derivative there
+    (the next step's first stage) and the step's row of dense-output data,
+    ``h`` and the stages k0, k2, k3, k4, k5 and k6 flattened.  When a stage
+    point is not finite, or a power in a stage overflows, ``err`` is inf and
+    the last three are None.  ``Trajectory`` replays it to rebuild the
+    stages of its recorded steps.
+    """
+    comps = range(len(state_vars))
+    attempt, pad = _attempt_lines(rhs_exprs, state_vars, " " * 8)
+    lines = ["def _step(_h, _y, _k0, _rtol, _atol):",
+             "    " + _unpack((f"_y{c}" for c in comps), "_y"),
+             "    " + _unpack((f"_k0_{c}" for c in comps), "_k0"),
+             "    try:",
+             *attempt,
+             pad + "return _err, 6, ({}), ({}), (_h, {})".format(
+                 "".join(f"{v}, " for v in state_vars),
+                 "".join(f"_k6_{c}, " for c in comps),
+                 "".join(f"_k{i}_{c}, " for i in (0, 2, 3, 4, 5, 6)
+                         for c in comps)),
+             "    except OverflowError:",
+             "        pass",
+             "    return _INF, _n, None, None, None"]
     return _factory(lines, "_step", ncoeffs)
+
+
+@lru_cache(maxsize=64)
+def _compile_run(rhs_exprs, state_vars, ncoeffs):
+    """Factory of the whole accept/reject loop of ``integrate``.
+
+    ``run(t, t_end, h, h_floor, y, k0, rtol, atol, limit, times, states,
+    steps)`` integrates from the state sequence ``y`` at time ``t``, with
+    derivative ``k0`` there and first step size ``h``.  Each accepted step
+    appends its end time to ``times``, the components of its new state to
+    ``states`` and its size to ``steps``.  It returns ``(rejected, evals,
+    trigger)``: the rejected attempts, the RHS evaluations begun and the
+    collapse trigger, None when the run reached ``t_end``.
+
+    The state and the stages live in unrolled locals.  Each attempt is cut
+    to ``min(h, t_end - t)`` and the run ends on step-size underflow when
+    that is below ``h_floor``.  A rejection scales ``h`` by ``0.9 * err **
+    -0.2`` raised to at least 0.2, or by 0.2 when the norm is inf or nan.
+    An accepted step scales it by the same factor raised to at least 0.2,
+    then cut to at most 5.0 (5.0 for a zero norm), and to at most 1.0 right
+    after a rejection; the run ends on the amplitude trigger when the new
+    state's max-norm is strictly above ``limit``.  Each ``min``, ``max`` and
+    ``abs`` is written as the comparison that picks the same value.
+    """
+    comps = range(len(state_vars))
+    ys = [f"_y{c}" for c in comps]
+    attempt, _ = _attempt_lines(rhs_exprs, state_vars, " " * 12)
+    # an accepted state passed the stage-6 finiteness test, so the max-norm
+    # test below never sees nan or inf: |v| > limit is v > limit or
+    # v < -limit
+    over = " or ".join(f"{y} > _limit or {y} < _nlimit" for y in ys)
+    lines = [
+        "def _run(_t, _t_end, _h, _h_floor, _y, _k0, _rtol, _atol, _limit,",
+        "         _times, _states, _steps):",
+        "    " + _unpack(ys, "_y"),
+        "    " + _unpack((f"_k0_{c}" for c in comps), "_k0"),
+        "    _time, _state, _step = _times.append, _states.append, "
+        "_steps.append",
+        "    _nlimit = -_limit",
+        "    _rejected = _evals = 0",
+        "    _rejected_last = False",
+        "    while _t < _t_end:",
+        "        _d = _t_end - _t",
+        "        if _d <= _h_floor:",
+        "            break",           # integrated to within roundoff of t_end
+        "        if _d < _h:",
+        "            _h = _d",
+        "        if _h < _h_floor:",
+        "            return _rejected, _evals, 'stepsize-underflow'",
+        "        _err = _INF",
+        "        try:",
+        *attempt,
+        "        except OverflowError:",
+        "            pass",
+        "        _evals += _n",
+        "        if not _err <= 1.0:",  # a nan norm counts as inf
+        "            _rejected += 1",
+        "            if _err < _INF:",
+        "                _f = 0.9 * _err ** -0.2",
+        "                _h *= _f if _f > 0.2 else 0.2",
+        "            else:",
+        "                _h *= 0.2",
+        "            _rejected_last = True",
+        "            continue",
+        "        _t += _h",
+        *(f"        {y} = {v}" for y, v in zip(ys, state_vars)),
+        *(f"        _k0_{c} = _k6_{c}" for c in comps),
+        "        _time(_t)",
+        *(f"        _state({y})" for y in ys),
+        "        _step(_h)",
+        f"        if {over}:",
+        "            return _rejected, _evals, 'amplitude-threshold'",
+        "        if _err == 0.0:",
+        "            _f = 5.0",
+        "        else:",
+        "            _f = 0.9 * _err ** -0.2",
+        "            if _f < 0.2:",
+        "                _f = 0.2",
+        "            if _f > 5.0:",
+        "                _f = 5.0",
+        "        if _rejected_last and _f > 1.0:",
+        "            _f = 1.0",
+        "        _h *= _f",
+        "        _rejected_last = False",
+        "    return _rejected, _evals, None"]
+    return _factory(lines, "_run", ncoeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -260,18 +379,20 @@ class CollapseVerdict:
 
 
 class Trajectory:
-    """Accepted states with their energies and dense output.
+    """Accepted states, with energies and dense output computed on demand.
 
-    ``stages`` holds, per accepted step, the step size and the stages
-    k0, k2, k3, k4, k5 and k6 in one flat float64 array; the interpolant
-    coefficients are built from them on first use.
+    ``times`` and ``states`` hold the start and each accepted step's end,
+    and ``step_sizes`` the size of each step, which ``t += h`` does not
+    always give back as a difference of times.  The interpolant's stages
+    are rebuilt on first use, by replaying the generated step over the
+    recorded steps.
     """
 
-    def __init__(self, spec, times, states, stages, stats):
+    def __init__(self, spec, times, states, step_sizes, stats):
         self.spec = spec
         self.times = times
         self.states = states
-        self._stages = stages
+        self._step_sizes = step_sizes
         self._coeffs = None
         self.stats = stats
 
@@ -290,10 +411,26 @@ class Trajectory:
         return float(np.max(np.abs(self.energies - self.energies[0])))
 
     def _coefficients(self):
-        """Step sizes and quartic-interpolant coefficients, (steps, 5, dim)."""
+        """Step sizes and quartic-interpolant coefficients, (steps, 5, dim).
+
+        Each step's stages come from ``spec._step`` at its recorded size and
+        start state, the first step's k0 from the vector field and each later
+        one's from the step before, as in ``integrate``: the same arithmetic
+        on the same floats, so the same stages to the bit.
+        """
         if self._coeffs is None:
             n = self.states.shape[1]
-            rows = self._stages.reshape(-1, 1 + 6 * n)
+            rows = []
+            if len(self._step_sizes):
+                step = self.spec._step
+                k0 = _evaluate(self.spec.rhs_function(),
+                               self.states[0].tolist())
+                for h, y in zip(self._step_sizes.tolist(),
+                                self.states.tolist()):
+                    # the error norm is not used, so any tolerances do
+                    _, _, _, k0, row = step(h, y, k0, 1.0, 1.0)
+                    rows.append(row)
+            rows = np.array(rows, dtype=float).reshape(-1, 1 + 6 * n)
             h = rows[:, :1]
             k0, k2, k3, k4, k5, k6 = (rows[:, 1 + i * n:1 + (i + 1) * n]
                                       for i in range(6))
@@ -366,65 +503,21 @@ def integrate(spec: SystemSpec, s0, t_end: float, rtol: float = 1e-10,
     y = tuple(y0.tolist())
     if not all(map(math.isfinite, y)):
         raise ValueError(f"initial state must be finite, got {list(y)}")
-    f, step = spec.rhs_function(), spec._step
+    f = spec.rhs_function()
     k0 = _evaluate(f, y)
     h = _initial_step(f, y, k0, rtol, atol, t_end - t0)
     # flat float64 buffers: a few words per step, no object per value
-    times = array("d", [t0])
-    states = array("d", y)
-    stages = array("d")
-
-    def recorded():
-        return np.frombuffer(times), np.frombuffer(states).reshape(-1, n)
-
-    h_floor = UNDERFLOW_FACTOR * (t_end - t0)
-    steps = rejected = 0
-    rhs_evals = 2                      # k0 and the probe in _initial_step
-    min_step = math.inf
-    t = t0
-    verdict = None
-    rejected_last = False
-
-    while t < t_end:
-        if t_end - t <= h_floor:
-            break                      # integrated to within roundoff of t_end
-        h = min(h, t_end - t)
-        if h < h_floor:
-            verdict = _collapsed("stepsize-underflow", *recorded())
-            break
-        err, evals, y1, k6, record = step(h, y, k0, rtol, atol)
-        rhs_evals += evals
-        if not err <= 1.0:             # a nan norm counts as inf
-            rejected += 1
-            h *= max(0.2, 0.9 * err ** -0.2) if err < math.inf else 0.2
-            rejected_last = True
-            continue
-
-        # accepted
-        stages.extend(record)
-        t += h
-        y, k0 = y1, k6
-        steps += 1
-        if h < min_step:
-            min_step = h
-        times.append(t)
-        states.extend(y)
-
-        if max(map(abs, y)) > amplitude_limit:
-            verdict = _collapsed("amplitude-threshold", *recorded())
-            break
-
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        if rejected_last:
-            factor = min(factor, 1.0)
-        h *= factor
-        rejected_last = False
-
-    if verdict is None:
-        verdict = CollapseVerdict("bounded")
-    stats = IntegratorStats(steps, rejected, min_step, rhs_evals)
-    traj = Trajectory(spec, *recorded(), np.frombuffer(stages), stats)
-    return traj, verdict
+    times, states, steps = array("d", [t0]), array("d", y), array("d")
+    rejected, evals, trigger = spec._run(
+        t0, t_end, h, UNDERFLOW_FACTOR * (t_end - t0), y, k0, rtol, atol,
+        amplitude_limit, times, states, steps)
+    times, states = np.frombuffer(times), np.frombuffer(states).reshape(-1, n)
+    verdict = (CollapseVerdict("bounded") if trigger is None
+               else _collapsed(trigger, times, states))
+    # two evaluations chose the first step: k0 and the probe
+    stats = IntegratorStats(len(steps), rejected, min(steps, default=math.inf),
+                            2 + evals)
+    return Trajectory(spec, times, states, np.frombuffer(steps), stats), verdict
 
 
 def _evaluate(fn, y):

@@ -123,12 +123,15 @@ def test_step_is_compiled_once_per_term_structure():
     b = make_system("pu_quartic", omega1=2.1, omega2=0.9, alpha=0.7)
     assert a._step is not b._step
     assert a._step.__code__ is b._step.__code__
+    assert a._run is not b._run
+    assert a._run.__code__ is b._run.__code__
     assert a._rhs.__code__ is b._rhs.__code__
     assert a._energy.__code__ is b._energy.__code__
     assert a._rhs(1.0, 1.0, 1.0, 1.0) != b._rhs(1.0, 1.0, 1.0, 1.0)
     # a gamma term in place of the alpha term is another structure
     c = make_system("pu_quartic", omega1=1.3, omega2=0.6, gamma=0.2)
     assert c._step.__code__ is not a._step.__code__
+    assert c._run.__code__ is not a._run.__code__
     assert c._rhs.__code__ is not a._rhs.__code__
 
 
@@ -171,6 +174,28 @@ def _outcome(fn, *args):
     return [v if v is None else float(v).hex() for v in flat]
 
 
+def _run_outcome(spec, ic, t_end, kw):
+    """Bits of a whole run's times, states, verdict and stats, or the text
+    of the ValueError it raised."""
+    try:
+        traj, verdict = integrate(spec, ic, t_end, **kw)
+    except ValueError as exc:
+        return str(exc)
+    s = traj.stats
+    return (_bits(traj.times), _bits(traj.states.ravel()), verdict.outcome,
+            verdict.trigger, _bits([verdict.escape_time or 0.0]),
+            (s.steps, s.rejected, s.min_step.hex(), s.rhs_evals))
+
+
+# whole runs for the generated loop: a run to t_end, and a weakly coupled
+# quartic blowup whose attempts overflow on its way to step-size underflow
+_WHOLE_RUNS = [
+    ((0.3, -0.2, 0.5, 0.1), 20.0, {"rtol": 1e-9, "atol": 1e-12}),
+    ((1e100,) * 4, 60.0, {"rtol": 1e-2, "atol": 1e-6,
+                          "amplitude_limit": math.inf}),
+]
+
+
 @pytest.mark.parametrize("name, params", [
     ("pu", {"omega1": 1.9, "omega2": 0.7}),
     ("pu_quartic", {"omega1": 1.3, "omega2": 0.6, "alpha": 0.2, "beta": -0.4,
@@ -179,11 +204,15 @@ def _outcome(fn, *args):
     ("robert", {"omega": 1.0, "lam": 1.0}),
     ("robert_gamma", {"omega": 1.4, "lam": 0.8, "gamma": 0.3}),
     ("diag_ghost_plus_V1", {"omega1": 1.2, "omega2": 1.0, "lam": 0.1}),
+    ("pu_quartic", {"omega1": 1.0, "omega2": 1.0, "alpha": 1e-200}),
 ])
 def test_bound_functions_match_inlined_literals(name, params):
-    # the step text around the right-hand side did not change, so the
-    # reference step is the module's step generator fed the literal text
-    from puosc.dynamics import _compile_step
+    # the step and loop text around the right-hand side did not change, so
+    # the reference step and loop are the module's generators fed the
+    # literal text
+    import dataclasses
+
+    from puosc.dynamics import _compile_run, _compile_step
 
     spec = make_system(name, **params)
     vars_ = spec.state_vars
@@ -204,6 +233,12 @@ def test_bound_functions_match_inlined_literals(name, params):
         h = float(10.0 ** rng.uniform(-4, 0))
         assert _outcome(spec._step, h, y, k0, 1e-6, 1e-9) \
             == _outcome(step, h, y, k0, 1e-6, 1e-9)
+    literal = dataclasses.replace(spec)
+    literal._run = _compile_run(rhs_text, vars_, 0)()
+    assert literal._run.__code__ is not spec._run.__code__
+    for ic, t_end, kw in _WHOLE_RUNS:
+        assert _run_outcome(spec, ic, t_end, kw) \
+            == _run_outcome(literal, ic, t_end, kw)
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf])
@@ -373,7 +408,9 @@ def _numpy_initial_step(f, y0, f0, rtol, atol, span):
 
 def _numpy_reference(spec, s0, t_end, rtol, atol, amplitude_limit):
     """The numpy integration loop, kept as the reference:
-    (times, states, energies, steps, rejected, trigger)."""
+    (times, states, energies, steps, rejected, trigger, coefficients), the
+    last the step sizes and interpolant coefficients built from the stages
+    of the accepted attempts."""
     from puosc.dynamics import UNDERFLOW_FACTOR
 
     rhs = spec.rhs_function()
@@ -391,6 +428,7 @@ def _numpy_reference(spec, s0, t_end, rtol, atol, amplitude_limit):
     h_floor = UNDERFLOW_FACTOR * t_end
     steps = rejected = 0
     rejected_last, trigger = False, None
+    hs, stages = [], []
     while t < t_end and t_end - t > h_floor:
         h = min(h, t_end - t)
         if h < h_floor:
@@ -403,6 +441,8 @@ def _numpy_reference(spec, s0, t_end, rtol, atol, amplitude_limit):
             rejected_last = True
             continue
         t += h
+        hs.append(h)
+        stages.append(k)
         y, k1 = y1, k[6]
         steps += 1
         times.append(t)
@@ -414,11 +454,30 @@ def _numpy_reference(spec, s0, t_end, rtol, atol, amplitude_limit):
         factor = 5.0 if errnorm == 0.0 else min(5.0, max(0.2, 0.9 * errnorm ** -0.2))
         h *= min(factor, 1.0) if rejected_last else factor
         rejected_last = False
-    return (np.array(times), np.array(states), np.array(energies), steps,
-            rejected, trigger)
+    states = np.array(states)
+    return (np.array(times), states, np.array(energies), steps,
+            rejected, trigger, _numpy_coefficients(hs, stages, states))
 
 
-@pytest.mark.parametrize("name, params, ic, t_end, kw", [
+def _numpy_coefficients(hs, stages, states):
+    """Step sizes and quartic-interpolant coefficients, (steps, 5, dim),
+    from each accepted step's size and seven stages."""
+    from puosc.dynamics import _D
+
+    n = states.shape[1]
+    h = np.array(hs, dtype=float)[:, None]
+    k = np.array(stages, dtype=float).reshape(-1, 7, n)
+    y = states[:-1]
+    dy = states[1:] - y
+    bspl = h * k[:, 0] - dy
+    dense = _D[0] * k[:, 0]
+    for j in range(2, 7):
+        dense = dense + _D[j] * k[:, j]
+    rc = np.stack([y, dy, bspl, dy - h * k[:, 6] - bspl, h * dense], axis=1)
+    return h[:, 0], rc
+
+
+_REFERENCE_RUNS = [
     # long enough that squaring the error terms with ** in place of *
     # moves a state (step 3812 of 4588)
     ("pu", {"omega1": 1.5, "omega2": 1.1}, (0.3, -0.2, 0.5, 0.1), 100.0, {}),
@@ -431,18 +490,46 @@ def _numpy_reference(spec, s0, t_end, rtol, atol, amplitude_limit):
     # rejected steps
     ("pu_quartic", {"omega1": 1.0, "omega2": 1.0, "alpha": 0.5},
      (2.0, 0.0, 0.0, 0.0), 60.0, {"rtol": 1e-2, "amplitude_limit": math.inf}),
-])
-def test_generated_step_matches_numpy_reference(name, params, ic, t_end, kw):
+]
+
+
+def _reference_run(name, params, ic, t_end, kw):
     kw = {"rtol": 1e-10, "atol": 1e-12, "amplitude_limit": 1e8, **kw}
     spec = make_system(name, **params)
     traj, verdict = integrate(spec, ic, t_end, **kw)
-    times, states, energies, steps, rejected, trigger = \
-        _numpy_reference(spec, ic, t_end, **kw)
+    return spec, kw, traj, verdict, _numpy_reference(spec, ic, t_end, **kw)
+
+
+@pytest.mark.parametrize("name, params, ic, t_end, kw", _REFERENCE_RUNS)
+def test_generated_step_matches_numpy_reference(name, params, ic, t_end, kw):
+    _, _, traj, verdict, reference = _reference_run(name, params, ic, t_end,
+                                                    kw)
+    times, states, energies, steps, rejected, trigger, _ = reference
     np.testing.assert_array_equal(traj.times, times)
     np.testing.assert_array_equal(traj.states, states)
     np.testing.assert_array_equal(traj.energies, energies)
     assert (traj.stats.steps, traj.stats.rejected) == (steps, rejected)
     assert verdict.trigger == trigger
+
+
+@pytest.mark.parametrize("name, params, ic, t_end, kw", _REFERENCE_RUNS)
+def test_dense_output_rebuild_matches_numpy_stages(name, params, ic, t_end,
+                                                   kw):
+    # integrate records no stages; the interpolant replays the generated
+    # step over the recorded steps and must give the stages of the run
+    spec, kw, traj, _, reference = _reference_run(name, params, ic, t_end, kw)
+    want_h, want_rc = reference[-1]
+    h, rc = traj._coefficients()
+    assert h.shape == want_h.shape and rc.shape == want_rc.shape
+    assert h.tobytes() == want_h.tobytes()
+    assert rc.tobytes() == want_rc.tobytes()
+    # each replayed attempt is the accepted one: its new state is the next
+    # recorded state, and under the run's tolerances it passes
+    k0 = spec.rhs_function()(*traj.states[0].tolist())
+    for i, (hi, y) in enumerate(zip(h.tolist(), traj.states.tolist())):
+        err, evals, y1, k0, _ = spec._step(hi, y, k0, kw["rtol"], kw["atol"])
+        assert evals == 6 and err <= 1.0
+        assert _bits(y1) == _bits(traj.states[i + 1])
 
 
 def _bits(values):
@@ -537,6 +624,105 @@ def test_overflowing_stages_are_rejected_like_numpy():
         assert (err, n) == (want, evals)
         if n == 6:
             assert (y1, k6) == (tuple(want_y1), tuple(k[6]))
+
+
+def _attempt_by_attempt(spec, s0, t_end, rtol, atol, amplitude_limit):
+    """The accept/reject loop with one ``spec._step`` call per attempt, as
+    ``integrate`` ran it before the loop was generated: (times, states,
+    stats, trigger, evals of each failed attempt)."""
+    from puosc.dynamics import (UNDERFLOW_FACTOR, IntegratorStats, _evaluate,
+                                _initial_step)
+
+    f = spec.rhs_function()
+    y = tuple(float(v) for v in s0)
+    k0 = _evaluate(f, y)
+    h = _initial_step(f, y, k0, rtol, atol, t_end)
+    h_floor = UNDERFLOW_FACTOR * t_end
+    t, times, states = 0.0, [0.0], [y]
+    stats = IntegratorStats(rhs_evals=2)
+    rejected_last, trigger, failed = False, None, []
+    while t < t_end:
+        if t_end - t <= h_floor:
+            break
+        h = min(h, t_end - t)
+        if h < h_floor:
+            trigger = "stepsize-underflow"
+            break
+        err, evals, y1, k6, _ = spec._step(h, y, k0, rtol, atol)
+        stats.rhs_evals += evals
+        if y1 is None:
+            failed.append(evals)
+        if not err <= 1.0:
+            stats.rejected += 1
+            h *= max(0.2, 0.9 * err ** -0.2) if err < math.inf else 0.2
+            rejected_last = True
+            continue
+        t += h
+        y, k0 = y1, k6
+        stats.steps += 1
+        stats.min_step = min(stats.min_step, h)
+        times.append(t)
+        states.append(y)
+        if max(map(abs, y)) > amplitude_limit:
+            trigger = "amplitude-threshold"
+            break
+        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        if rejected_last:
+            factor = min(factor, 1.0)
+        h *= factor
+        rejected_last = False
+    return times, states, stats, trigger, failed
+
+
+_WEAK_QUARTIC = ("pu_quartic", {"omega1": 1.0, "omega2": 1.0,
+                                "alpha": 1e-200})
+
+# runs with rejected attempts and the RHS evaluations after which some of
+# their attempts fail: the weakly coupled quartic grows from 1e100 until its
+# cubes overflow, to the amplitude trigger or, with no limit, to step-size
+# underflow (after 1 and after 4 evaluations, as the overflowing attempts of
+# test_overflowing_stages_are_rejected_like_numpy)
+_REJECTING_RUNS = [
+    (*_WEAK_QUARTIC, (1e100,) * 4, 60.0,
+     {"rtol": 1e-6, "atol": 1e-6, "amplitude_limit": 1.4e107},
+     "amplitude-threshold", {4}),
+    (*_WEAK_QUARTIC, (1e100,) * 4, 60.0,
+     {"rtol": 1e-2, "atol": 1e-6, "amplitude_limit": math.inf},
+     "stepsize-underflow", {1, 4}),
+    ("pu_quartic", {"omega1": 1.0, "omega2": 1.0, "alpha": 0.5},
+     (2.0, 0.0, 0.0, 0.0), 60.0,
+     {"rtol": 1e-2, "atol": 1e-12, "amplitude_limit": math.inf},
+     "stepsize-underflow", set()),
+]
+
+
+@pytest.mark.parametrize("name, params, ic, t_end, kw, trigger, fails", [
+    *_REJECTING_RUNS,
+    ("pu", {"omega1": 1.5, "omega2": 1.1}, (0.3, -0.2, 0.5, 0.1), 30.0,
+     {"rtol": 1e-9, "atol": 1e-12, "amplitude_limit": 1e8}, None, set())])
+def test_stats_match_attempt_by_attempt_reference(name, params, ic, t_end, kw,
+                                                  trigger, fails):
+    spec = make_system(name, **params)
+    traj, verdict = integrate(spec, ic, t_end, **kw)
+    times, states, stats, want_trigger, failed = \
+        _attempt_by_attempt(spec, ic, t_end, **kw)
+    assert traj.stats == stats
+    assert verdict.trigger == want_trigger == trigger
+    assert _bits(traj.times) == _bits(times)
+    assert _bits(traj.states.ravel()) == _bits(np.ravel(states))
+    assert fails <= set(failed)
+
+
+@pytest.mark.parametrize("name, params, ic, t_end, kw, trigger, fails",
+                         _REJECTING_RUNS)
+def test_recorded_states_are_finite(name, params, ic, t_end, kw, trigger,
+                                    fails):
+    # an accepted state passed the stage-6 finiteness test, which is why
+    # the generated amplitude test need not order a nan or inf
+    traj, verdict = integrate(make_system(name, **params), ic, t_end, **kw)
+    assert verdict.trigger == trigger
+    assert traj.stats.rejected > 0
+    assert np.isfinite(traj.states).all() and np.isfinite(traj.times).all()
 
 
 def test_energy_record_keeps_overflow_as_inf():
